@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import ApproxParams, approx_G, growth_constant
-from .green import GreenTable, GridFunction, evolve, green_direct, green_spectral
+from .green import (GreenTable, GridFunction, _spectral_window, evolve,
+                    green_direct)
 from .stencil import (
     C3_FLOOR,
     C4_FLOOR,
@@ -304,7 +305,7 @@ def growth_series(stencil: Stencil, n_values) -> GrowthReport:
     ell = growth_constant(e.c3, e.c4)
     l1 = []
     for n in n_values:
-        g = green_spectral(stencil, n)
+        g, _ = _spectral_window(stencil, n)
         l1.append(float(np.sum(np.abs(g.values))))
     ratios = [v / n ** 0.125 for n, v in zip(n_values, l1)]
     errors = [abs(r - ell) for r in ratios]
@@ -343,11 +344,11 @@ def _grid_linf(u: GridFunction) -> float:
 def bv_bounds(stencil: Stencil, n_values) -> BVReport:
     """Sup of cumulative Green's sums per n, by two independent routes.
 
-    Route one sums the spectral table; route two evolves the Heaviside
-    sequence by direct convolution, whose sup norm equals the same quantity
-    by the identity (L_a^n H)_j = sum_{l <= j} G_l^n.  Partial sums of a
-    conservative table telescope to 1 at the right support edge, while the
-    sup captures the overshoot of the oscillatory zone.
+    Route one sums the windowed spectral table; route two evolves the
+    Heaviside sequence by direct convolution, whose sup norm equals the same
+    quantity by the identity (L_a^n H)_j = sum_{l <= j} G_l^n.  Partial sums
+    of a conservative table telescope to 1 at the right support edge, while
+    the sup captures the overshoot of the oscillatory zone.
     """
     audit = assumption_audit(stencil)
     if not audit.admissible:
@@ -357,7 +358,8 @@ def bv_bounds(stencil: Stencil, n_values) -> BVReport:
         raise ValueError("n_values must be positive integers")
     sups = []
     for n in n_values:
-        g = green_spectral(stencil, n)
+        # Partial sums are 0 left of the window and constant right of it.
+        g, _ = _spectral_window(stencil, n)
         sups.append(float(np.max(np.abs(np.cumsum(g.values)))))
     linfs = []
     u = _heaviside()

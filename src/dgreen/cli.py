@@ -3,12 +3,12 @@
 Identical configuration produces byte-identical files: numeric cells use 17
 significant digits, rows are ordered by index, and the single `#` metadata
 line carries only the configuration, never wall-clock time.  Files are
-written to a temporary sibling and renamed into place so a crash cannot
-leave a partial artifact.
+written to a uniquely named temporary sibling and renamed into place so a
+crash cannot leave a partial artifact.
 
 Exit codes: 0 success, 2 invalid configuration, 3 inadmissible scheme under
---require-admissible, 4 spectral memory budget refusal, 5 failed acceptance
-predicate under --strict.
+--require-admissible, 4 memory budget or work cap refusal, 5 failed
+acceptance predicate under --strict.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ import numpy as np
 from .approx import ApproxParams, approx_G, approx_H
 from .green import (
     MemoryBudgetError,
+    WorkBudgetError,
+    _check_work,
     evolve,
     green_direct,
     green_spectral,
@@ -136,10 +139,23 @@ def _fmt(value) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp",
+                               dir=directory)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+            # mkstemp creates the file 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -266,17 +282,24 @@ def cmd_green(cfg: RunConfig) -> int:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    if cfg.dx is None or cfg.dx <= 0:
-        raise ValueError("evolve requires --dx > 0")
-    if cfg.t_final is None or cfg.t_final < 0:
-        raise ValueError("evolve requires --t >= 0")
+    if cfg.dx is None or not 0 < cfg.dx < math.inf:
+        raise ValueError("evolve requires a finite --dx > 0")
+    if cfg.t_final is None or not 0 <= cfg.t_final < math.inf:
+        raise ValueError("evolve requires a finite --t >= 0")
+    if not 0 < cfg.half_width < math.inf:
+        raise ValueError("evolve requires a finite --half-width > 0")
     if cfg.lam is None:
         raise ValueError("evolve requires --lambda to size the time step")
     s = make_stencil(cfg)
     _audit_or_raise(cfg, s)
-    # dt = lambda * dx at unit velocity; tiny negative slack keeps an exact
-    # multiple of dt from rounding up to an extra step.
-    n = max(0, math.ceil(cfg.t_final / (cfg.lam * cfg.dx) - 1e-9))
+    # dt = lambda * dx at unit velocity.  The loop is checked in floats,
+    # before its size is rounded to integers; the step data alone has
+    # 2 * ceil(half_width / dx) + 3 < 2 * half_width / dx + 5 cells.
+    steps = cfg.t_final / (cfg.lam * cfg.dx)
+    _check_work(steps, 2.0 * cfg.half_width / cfg.dx + 5.0, s.support_width)
+    # Tiny negative slack keeps an exact multiple of dt from rounding up to
+    # an extra step.
+    n = max(0, math.ceil(steps - 1e-9))
     j_half = math.ceil(cfg.half_width / cfg.dx)
     u0 = sample_step(cfg.dx, cfg.half_width, -j_half - 1, j_half + 1)
     un = evolve(s, u0, n)
@@ -495,7 +518,7 @@ def main(argv=None) -> int:
     except InadmissibleSchemeError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    except MemoryBudgetError as ex:
+    except (MemoryBudgetError, WorkBudgetError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_MEMORY
     except ValueError as ex:

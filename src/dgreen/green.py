@@ -3,9 +3,12 @@
 The Green's function of n steps is the n-fold self convolution of the stencil
 coefficients: G^n = L_a^n delta.  Two routes compute it.  The direct route
 iterates np.convolve (cost O(n^2 |support|)) and serves as the oracle.  The
-spectral route samples the symbol on N >= n * support_width + 1 points, takes
-the pointwise n-th power and inverts the DFT; band-limitedness makes this
-exact up to rounding, and it is the workhorse at large n.
+spectral route samples the n-th power of the symbol and inverts the DFT.  For
+stencils meeting the paper's assumptions the mass of G^n sits in an O(sqrt n)
+window around the front j = alpha*n, so the route samples only as many
+points as that window needs and checks afterwards that nothing else folded
+into it; other stencils get the alias-free grid of n * support_width + 1
+points.  Either way the result is exact up to rounding.
 """
 
 from __future__ import annotations
@@ -17,12 +20,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .stencil import Stencil, symbol_eval
+from .stencil import (
+    C3_FLOOR,
+    C4_FLOOR,
+    CONSERVATION_TOL,
+    KAPPA2_TOL,
+    Stencil,
+    _cumulants_from_moments,
+    _raw_moments,
+    symbol_eval,
+)
 
 __all__ = [
     "GreenTable",
     "GridFunction",
     "MemoryBudgetError",
+    "WorkBudgetError",
     "apply",
     "green_direct",
     "green_spectral",
@@ -37,16 +50,38 @@ MEMORY_BUDGET_ENV = "DG_MEMORY_BUDGET_MB"
 DEFAULT_MEMORY_BUDGET_MB = 512.0
 
 
+# Cap on the entries a convolution step loop touches.  A loop of `steps`
+# steps that starts from a window of `start` entries touches about
+# start + steps * (start + steps * width) of them.  green_direct gets through
+# about 6e7 a second, so the cap refuses loops longer than half a minute.
+WORK_LIMIT = 2e9
+
+# Window sizing of the spectral route.  The wake of G^n is damped like
+# exp(-c4 d^2 / (9 c3^2 n)) at distance d behind the front, and the fast
+# side decays like the Airy function, exp(-(2/3) z^(3/2)) with
+# z = d / (3|c3|n)^(1/3).  The a-priori window reaches where both have fallen
+# to exp(-_TAIL_LOG).  The outer 1/_GUARD of the transform length at each end
+# of the window is a guard band that must come out at the rounding floor.
+_TAIL_LOG = 40.0
+_GUARD = 8
+_EPS = float(np.finfo(float).eps)
+
+
 class MemoryBudgetError(RuntimeError):
     """Raised when a spectral transform would exceed the memory budget."""
 
 
+class WorkBudgetError(RuntimeError):
+    """Raised when a convolution step loop would exceed WORK_LIMIT."""
+
+
 @dataclass(frozen=True)
 class GreenTable:
-    """Values of G^n_j on its support window [n*min_offset_1, n*max_offset_1].
+    """Values of G^n_j on a window of [n*min_offset_1, n*max_offset_1].
 
-    min_offset is the index of values[0].  method records which route built
-    the table ("direct" or "spectral").
+    min_offset is the index of values[0].  Tables from green_direct and
+    green_spectral cover the whole support.  method records which route
+    built the table ("direct" or "spectral").
     """
 
     n: int
@@ -125,10 +160,27 @@ def apply(stencil: Stencil, u: GridFunction) -> GridFunction:
                        right_tail=u.right_tail * total)
 
 
+def _check_work(steps, start, width: int) -> None:
+    """Raise WorkBudgetError before a step loop that would exceed WORK_LIMIT.
+
+    steps and start may be floats, inf included, so callers can check a
+    loop before they round its size to integers.
+    """
+    work = start + steps * (start + steps * width)
+    if not work <= WORK_LIMIT:
+        raise WorkBudgetError(
+            f"{steps:.4g} convolution steps from {start:.4g} entries exceed "
+            f"the work cap of {WORK_LIMIT:.0e} entries touched")
+
+
 def green_direct(stencil: Stencil, n: int) -> GreenTable:
-    """G^n by iterated convolution of the coefficient array.  Oracle route."""
+    """G^n by iterated convolution of the coefficient array.  Oracle route.
+
+    Raises WorkBudgetError when n^2 * support_width exceeds WORK_LIMIT.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_work(n, 1, stencil.support_width)
     kernel = stencil.as_array()
     values = kernel.copy()
     for _ in range(n - 1):
@@ -142,47 +194,208 @@ def _spectral_size(n: int, width: int) -> int:
     return max(16, 1 << (needed - 1).bit_length())
 
 
-def _check_budget(size: int, memory_budget_mb: float | None) -> None:
+def _check_budget(entries: int, memory_budget_mb: float | None) -> None:
+    """Raise MemoryBudgetError if `entries` complex128 values exceed budget."""
     if memory_budget_mb is None:
         budget = float(os.environ.get(MEMORY_BUDGET_ENV,
                                       DEFAULT_MEMORY_BUDGET_MB))
     else:
         budget = float(memory_budget_mb)
-    # Peak holds about four complex128 arrays of the transform length.
-    needed_mb = 4 * 16 * size / 1e6
+    needed_mb = 16 * entries / 1e6
     if needed_mb > budget:
         raise MemoryBudgetError(
-            f"spectral transform of length {size} needs about "
-            f"{needed_mb:.0f} MB, budget is {budget:.0f} MB")
+            f"spectral route needs about {needed_mb:.3g} MB, budget is "
+            f"{budget:.3g} MB")
 
 
-def green_spectral(stencil: Stencil, n: int,
-                   memory_budget_mb: float | None = None) -> GreenTable:
-    """G^n via symbol sampling, pointwise power and inverse DFT.
+def _drift(alpha: float, n: int):
+    """s = round(n * alpha) and n * alpha - s, in exact integer arithmetic."""
+    num, den = alpha.as_integer_ratio()
+    shift = (2 * n * num + den) // (2 * den)
+    return shift, (n * num - shift * den) / den
 
-    The transform length is the next power of two at or above
-    n * support_width + 1, so no wrap-around touches the support window.
-    Raises MemoryBudgetError when the transform would exceed the budget
-    (parameter, else the DG_MEMORY_BUDGET_MB environment variable, else
-    512 MB).
+
+def _window_plan(stencil: Stencil, n: int):
+    """Drift alpha and the a-priori transform length of the windowed route.
+
+    The length is None for non-conservative or degenerate stencils (kappa2
+    != 0, c3 or c4 at their floors), which take the alias-free grid.
+    """
+    moments = _raw_moments(stencil, 5)
+    alpha = moments[1].real
+    _, k2, k3, k4, _ = _cumulants_from_moments(moments)
+    c3, c4 = k3.real / 6.0, -k4.real / 24.0
+    if (abs(moments[0] - 1.0) > CONSERVATION_TOL
+            or abs(k2) > KAPPA2_TOL or abs(c3) <= C3_FLOOR or c4 <= C4_FLOOR):
+        return alpha, None
+    wake = math.sqrt(_TAIL_LOG * 9.0 * c3 * c3 * n / c4)
+    front = ((3.0 * abs(c3) * n) ** (1.0 / 3.0)
+             * (1.5 * _TAIL_LOG) ** (2.0 / 3.0))
+    half = wake + front
+    needed = math.ceil(2.0 * half * _GUARD / (_GUARD - 2))
+    return alpha, max(16, 1 << (needed - 1).bit_length())
+
+
+# Taylor coefficients of (cos x - 1 + x^2/2) / x^4 and (sin x - x) / x^3 in
+# powers of x^2; nine terms reach double precision for |x| <= 1.
+_COS_TAIL = tuple((-1) ** k / math.factorial(2 * k + 4) for k in range(9))
+_SIN_TAIL = tuple(-(-1) ** k / math.factorial(2 * k + 3) for k in range(9))
+
+
+def _exp_tails(x: np.ndarray):
+    """cos x - 1 + x^2/2 and sin x - x, both to relative accuracy."""
+    x2 = x * x
+    cos_poly = np.full(x.shape, _COS_TAIL[-1])
+    sin_poly = np.full(x.shape, _SIN_TAIL[-1])
+    for c, s in zip(_COS_TAIL[-2::-1], _SIN_TAIL[-2::-1]):
+        cos_poly = cos_poly * x2 + c
+        sin_poly = sin_poly * x2 + s
+    small = np.abs(x) <= 1.0
+    cos_tail = np.where(small, cos_poly * x2 * x2, np.cos(x) - 1.0 + 0.5 * x2)
+    sin_tail = np.where(small, sin_poly * x2 * x, np.sin(x) - x)
+    return cos_tail, sin_tail
+
+
+def _exact_sum(values) -> complex:
+    return complex(math.fsum(v.real for v in values),
+                   math.fsum(v.imag for v in values))
+
+
+def _grid_sum(values: np.ndarray, half: bool) -> float:
+    """Sum over the whole grid of samples stored once per conjugate pair."""
+    if half:
+        return float(2.0 * values.sum() - values[0] - values[-1])
+    return float(values.sum())
+
+
+def _aliased_coefficients(stencil: Stencil, n: int, size: int, alpha: float,
+                          frac: float, half: bool):
+    """Coefficients of P(theta) = F(theta)^n exp(-i s theta) on `size` points.
+
+    Entry m mod size holds sum_r G^n_{s+m+r*size}, where s is the integer
+    drift and frac = n*alpha - s.  With half set (real stencils) only
+    theta_k = -2 pi k / size for k <= size/2 is sampled and irfft supplies
+    the conjugate half.  Also returns the rounding floor of each coefficient
+    and the grid mass of frequencies whose packets travel beyond the window
+    core.
+    """
+    k = np.arange(size // 2 + 1) if half else np.fft.fftfreq(size, 1.0 / size)
+    theta = (-2.0 * math.pi / size) * k
+    # z = F(theta) exp(-i alpha theta) - 1 with x_l = (l - alpha) theta is
+    #   (sum a - 1) + i m1 theta - m2 theta^2 / 2
+    #   + sum a_l (c(x_l) + i s(x_l)),
+    # m_k = sum a_l (l - alpha)^k, c(x) = cos x - 1 + x^2/2, s(x) = sin x - x.
+    # m1 and m2 vanish up to rounding for the paper's stencils, so every term
+    # is as small as z itself: z and log(1 + z) carry relative rounding, and
+    # the drift n*alpha*theta never enters the rounded phase.
+    total = stencil.coefficient_sum()
+    lags = [(coeff, offset - alpha)
+            for offset, coeff in zip(stencil.offsets, stencil.coefficients)]
+    m1 = _exact_sum([coeff * lag for coeff, lag in lags])
+    m2 = _exact_sum([coeff * lag * lag for coeff, lag in lags])
+    z = (total - 1.0) + (1j * m1) * theta - (0.5 * m2) * theta ** 2
+    scale = (abs(total - 1.0) + abs(m1) * np.abs(theta)
+             + 0.5 * abs(m2) * theta ** 2)          # rounding scale of z
+    slope = np.zeros(theta.shape, dtype=complex)    # d(1 + z)/d(i theta)
+    for coeff, lag in lags:
+        x = lag * theta
+        cos_tail, sin_tail = _exp_tails(x)
+        z += coeff * (cos_tail + 1j * sin_tail)
+        scale += abs(coeff) * (np.abs(cos_tail) + np.abs(sin_tail))
+        slope += (coeff * lag) * np.exp(1j * x)
+    centred = 1.0 + z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # numpy's complex log1p loses the small real part; do it by hand.
+        q = 2.0 * z.real + (z * z.conj()).real
+        log_abs = np.where(np.abs(q) < 0.5, 0.5 * np.log1p(q),
+                           np.log(np.abs(centred)))
+        # Stationary phase: frequency theta ends up n * Re(slope / centred)
+        # sites from s.
+        travel = n * (slope / centred).real
+        rel_noise = n * scale / np.abs(centred)
+    phase = n * np.angle(centred) + frac * theta
+    with np.errstate(under="ignore"):
+        powered = np.exp(n * log_abs + 1j * phase)
+    mags = np.abs(powered)
+    # Each sample carries a relative error of about eps times the rounding
+    # of n*log(1 + z), the size of its phase and the transform depth; the
+    # floor is their worst-case sum over the grid.
+    noise = mags * (np.nan_to_num(rel_noise) + np.abs(phase)
+                    + math.log2(size))
+    floor = _EPS * _grid_sum(noise, half) / size
+    far = mags * (np.abs(travel) > size // 2 - size // _GUARD)
+    far_mass = _grid_sum(far, half) / size
+    coeffs = np.fft.irfft(powered, size) if half else np.fft.ifft(powered)
+    return coeffs, floor, far_mass
+
+
+def _spectral_window(stencil: Stencil, n: int,
+                     memory_budget_mb: float | None = None, reserve: int = 0):
+    """G^n on the window that holds its mass, and the transform length used.
+
+    For real stencils the transform length M starts from the a-priori window
+    of _window_plan and doubles until the guard bands at both window edges
+    and the mass of frequencies travelling past the window core are at the
+    rounding floor.  At the alias-free length n * support_width + 1 (rounded
+    up to a power of two) the table is the whole support.  Entries of G^n
+    outside the returned window are below rounding.  The memory budget is checked before
+    every transform against twelve complex arrays of the sampled frequencies
+    (M/2 + 1 of them for real stencils, M otherwise) plus `reserve` entries
+    the caller will allocate.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     width = stencil.support_width
+    lo, hi = n * stencil.min_offset, n * stencil.max_offset
     if width == 0:
         # Pure shift: G^n is a single coefficient at n * min_offset.
-        return GreenTable(n=n, min_offset=n * stencil.min_offset,
-                          values=stencil.as_array() ** n, method="spectral")
-    size = _spectral_size(n, width)
-    _check_budget(size, memory_budget_mb)
-    theta = 2.0 * math.pi * np.arange(size) / size
-    with np.errstate(under="ignore"):
-        powered = symbol_eval(stencil, theta) ** n
-        coeffs = np.fft.fft(powered) / size
-    indices = (np.arange(n * stencil.min_offset, n * stencil.max_offset + 1)
-               % size)
-    return GreenTable(n=n, min_offset=n * stencil.min_offset,
-                      values=coeffs[indices], method="spectral")
+        return GreenTable(n=n, min_offset=lo, values=stencil.as_array() ** n,
+                          method="spectral"), 0
+    full = _spectral_size(n, width)
+    alpha, size = _window_plan(stencil, n)
+    half = not any(c.imag for c in stencil.coefficients)
+    # The window's envelope rates come from a real symbol expansion.
+    size = full if size is None or not half else min(size, full)
+    shift, frac = _drift(alpha, n)
+    while True:
+        # Traced peak: twelve complex arrays of the sampled frequencies.
+        samples = size // 2 + 1 if half else size
+        _check_budget(12 * samples + reserve, memory_budget_mb)
+        coeffs, floor, far_mass = _aliased_coefficients(
+            stencil, n, size, alpha, frac, half)
+        if size >= full:
+            break
+        guard = size // _GUARD
+        edges = np.abs(coeffs[size // 2 - guard:size // 2 + guard])
+        if edges.max() <= floor and far_mass <= floor:
+            lo = max(lo, shift - size // 2)
+            hi = min(hi, shift + size // 2 - 1)
+            break
+        size *= 2
+    values = coeffs[(np.arange(lo, hi + 1) - shift) % size]
+    return GreenTable(n=n, min_offset=lo, values=values,
+                      method="spectral"), size
+
+
+def green_spectral(stencil: Stencil, n: int,
+                   memory_budget_mb: float | None = None) -> GreenTable:
+    """G^n on its whole support by the windowed spectral route.
+
+    Entries outside the window that holds the mass of G^n are exact zeros;
+    for real stencils every imaginary part is exactly 0.  Raises
+    MemoryBudgetError when the transforms plus the full-support table would
+    exceed the budget (parameter, else the DG_MEMORY_BUDGET_MB environment
+    variable, else 512 MB).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    support = n * stencil.support_width + 1
+    window, _ = _spectral_window(stencil, n, memory_budget_mb, support)
+    values = np.zeros(support, dtype=complex)
+    start = window.min_offset - n * stencil.min_offset
+    values[start:start + len(window.values)] = window.values
+    return GreenTable(n=n, min_offset=n * stencil.min_offset, values=values,
+                      method="spectral")
 
 
 def spectral_sweep(stencil: Stencil, n_max: int,
@@ -204,7 +417,7 @@ def spectral_sweep(stencil: Stencil, n_max: int,
             [stencil.coefficients[0] ** n for n in range(1, n_max + 1)])
         return sums, mags.copy(), mags.copy(), mags.copy()
     size = _spectral_size(n_max, width)
-    _check_budget(size, memory_budget_mb)
+    _check_budget(4 * size, memory_budget_mb)
     theta = 2.0 * math.pi * np.arange(size) / size
     symbol = symbol_eval(stencil, theta)
     powered = np.ones(size, dtype=complex)
@@ -227,9 +440,13 @@ def spectral_sweep(stencil: Stencil, n_max: int,
 
 
 def evolve(stencil: Stencil, u0: GridFunction, n: int) -> GridFunction:
-    """n-fold application of the stencil; evolve(s, delta, n) matches green_direct."""
+    """n-fold application of the stencil; evolve(s, delta, n) matches green_direct.
+
+    Raises WorkBudgetError when the step loop would exceed WORK_LIMIT.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
+    _check_work(n, len(u0.values), stencil.support_width)
     u = u0
     for _ in range(n):
         u = apply(stencil, u)

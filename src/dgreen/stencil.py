@@ -63,7 +63,8 @@ class Stencil:
     """Coefficients a_l for l = min_offset .. min_offset + len(coefficients) - 1.
 
     The first and last stored coefficients are nonzero; constructors trim
-    exact zeros at the ends so the support is tight.
+    exact zeros at the ends so the support is tight.  Non-finite
+    coefficients raise ValueError.
     """
 
     min_offset: int
@@ -71,6 +72,9 @@ class Stencil:
     label: str = ""
 
     def __post_init__(self):
+        if not all(math.isfinite(part) for c in map(complex, self.coefficients)
+                   for part in (c.real, c.imag)):
+            raise ValueError("stencil coefficients must be finite")
         coeffs, lo = _trimmed(self.coefficients, self.min_offset)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "min_offset", lo)

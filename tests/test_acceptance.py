@@ -186,6 +186,29 @@ def test_05_growth_law(capsys, growth_run):
     assert ok
 
 
+def test_05b_growth_law_large_n(capsys):
+    # Criterion 5 at the n the windowed spectral route reaches: the error
+    # must keep shrinking and the compensated deviation stay flat out to
+    # n = 1e8, where the full support would need a 2^28-point transform.
+    start = time.perf_counter()
+    rep = growth_series(lax_wendroff(0.75), (10 ** 6, 10 ** 7, 10 ** 8))
+    elapsed = time.perf_counter() - start
+    errors = [abs(r - rep.ell_target) for r in rep.ratios]
+    strictly_decreasing = all(b < a for a, b in zip(errors, errors[1:]))
+    deviations = [(r - rep.ell_target) * n ** 0.125
+                  for r, n in zip(rep.ratios, rep.n_values)]
+    flat = max(deviations) / min(deviations) if min(deviations) > 0 else math.inf
+    ok = (strictly_decreasing and flat <= DEVIATION_FLATNESS
+          and elapsed < 10.0)
+    _report(capsys, ok,
+            f"criterion 5b: l1 growth at n = 1e6, 1e7, 1e8, errors "
+            f"{[f'{e / rep.ell_target:.4f}' for e in errors]} strictly "
+            f"decreasing, deviations {[f'{d:.4f}' for d in deviations]} "
+            f"flatness {flat:.4f} (cap {DEVIATION_FLATNESS}), "
+            f"{elapsed:.2f}s (cap 10s)")
+    assert ok
+
+
 def test_06_envelope_stability_and_quadrature(capsys, envelope_run):
     (rep1, rep2), elapsed = envelope_run
     start = time.perf_counter()

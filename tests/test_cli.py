@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from dgreen.cli import (
     EXIT_MEMORY,
     EXIT_OK,
     RunConfig,
+    _atomic_write,
     main,
     make_stencil,
 )
@@ -81,6 +84,23 @@ class TestExitCodes:
                    "--n", "100000", "--out", str(out)) == EXIT_MEMORY
         assert not out.exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("args", [
+        ("evolve", "--dx", "0.5", "--t", "1e300"),
+        ("evolve", "--dx", "1e-300", "--t", "1"),
+        ("green", "--n", "1000000", "--method", "direct"),
+    ])
+    def test_work_cap(self, tmp_path, capsys, args):
+        out = tmp_path / "o.csv"
+        assert run(*args, "--scheme", "lw", "--lambda", "0.75",
+                   "--out", str(out)) == EXIT_MEMORY
+        assert "work cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonfinite_coefficient(self, capsys):
+        assert run("coeffs", "--scheme", "custom",
+                   "--custom", "0:nan:0") == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
 
     def test_strict_growth_failure(self, tmp_path):
         out = tmp_path / "up.json"
@@ -195,6 +215,15 @@ class TestEvolve:
         assert run("evolve", "--scheme", "lw", "--lambda", "0.75",
                    "--dx", "0.1", "--t", "-1") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("args", [
+        ("--dx", "0.1", "--t", "inf"),
+        ("--dx", "nan", "--t", "1"),
+        ("--dx", "0.1", "--t", "1", "--half-width", "inf"),
+    ])
+    def test_nonfinite_arguments(self, args):
+        assert run("evolve", "--scheme", "lw", "--lambda", "0.75",
+                   *args) == EXIT_CONFIG
+
 
 class TestReports:
     def test_growth_json(self, tmp_path):
@@ -246,6 +275,32 @@ class TestDeterminism:
         assert run("green", "--scheme", "lw", "--lambda", "0.75",
                    "--n", "8", "--out", str(out)) == EXIT_OK
         assert [p.name for p in tmp_path.iterdir()] == ["g.csv"]
+
+    def test_foreign_temporary_untouched(self, tmp_path):
+        # Another writer's temporary file next to the target survives.
+        out = tmp_path / "g.csv"
+        other = tmp_path / "g.csv.tmp"
+        other.write_text("other writer")
+        assert run("green", "--scheme", "lw", "--lambda", "0.75",
+                   "--n", "8", "--out", str(out)) == EXIT_OK
+        assert other.read_text() == "other writer"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv",
+                                                              "g.csv.tmp"]
+
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            _atomic_write(str(tmp_path / "g.csv"), "data\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_written_file_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "g.csv"
+        _atomic_write(str(out), "data\n")
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
     def test_no_wall_clock_in_output(self, tmp_path):
         out = tmp_path / "g.csv"

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dgreen import green
 from dgreen.green import (
     GreenTable,
     GridFunction,
     MemoryBudgetError,
+    WorkBudgetError,
+    _spectral_size,
+    _spectral_window,
     apply,
     cell_average_indicator,
     evolve,
@@ -15,7 +21,12 @@ from dgreen.green import (
     sample_step,
     spectral_sweep,
 )
-from dgreen.stencil import Stencil, beam_warming, lax_wendroff
+from dgreen.stencil import (
+    Stencil,
+    assumption_audit,
+    beam_warming,
+    lax_wendroff,
+)
 
 
 def delta():
@@ -115,6 +126,149 @@ class TestGreenTables:
         monkeypatch.setenv("DG_MEMORY_BUDGET_MB", "0.001")
         with pytest.raises(MemoryBudgetError):
             green_spectral(lax_wendroff(0.75), 10000)
+
+
+@st.composite
+def admissible_stencils(draw):
+    """Real conservative admissible stencils of 3 to 5 points.
+
+    Three coefficients are solved for so that sum a = 1, the drift is alpha
+    and the second cumulant vanishes; the rest are drawn freely.
+    """
+    width = draw(st.integers(2, 4))
+    lo = draw(st.integers(-2, 0))
+    offsets = np.arange(lo, lo + width + 1)
+    alpha = draw(st.floats(lo, lo + width, exclude_min=True,
+                           exclude_max=True))
+    coeffs = np.zeros(width + 1)
+    solved = [0, width // 2, width]
+    free = [k for k in range(width + 1) if k not in solved]
+    coeffs[free] = draw(st.lists(st.floats(-0.5, 0.5), min_size=len(free),
+                                 max_size=len(free)))
+    rows = np.vstack([np.ones(width + 1), offsets, offsets ** 2.0])
+    rhs = np.array([1.0, alpha, alpha * alpha]) - rows @ coeffs
+    coeffs[solved] = np.linalg.solve(rows[:, solved], rhs)
+    stencil = Stencil(lo, tuple(coeffs))
+    assume(assumption_audit(stencil).admissible)
+    return stencil
+
+
+def _semigroup_residual(stencil, n):
+    """max |G^(2n) - G^n * G^n| / max |G^(2n)| on the window tables."""
+    g, _ = _spectral_window(stencil, n)
+    g2, _ = _spectral_window(stencil, 2 * n)
+    length = 2 * len(g.values) - 1
+    size = 1 << (length - 1).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(g.values, size) ** 2, size)[:length]
+    lo = min(2 * g.min_offset, g2.min_offset)
+    hi = max(2 * g.min_offset + length, g2.min_offset + len(g2.values))
+    diff = np.zeros(hi - lo)
+    diff[2 * g.min_offset - lo:][:length] += conv
+    diff[g2.min_offset - lo:][:len(g2.values)] -= g2.values
+    return float(np.max(np.abs(diff)) / np.max(np.abs(g2.values)))
+
+
+# Fixed examples, so the suite runs the same cases every time.
+_PROPERTY_SETTINGS = settings(
+    max_examples=40, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.filter_too_much])
+
+
+class TestWindowedRoute:
+    @_PROPERTY_SETTINGS
+    @given(stencil=admissible_stencils(), n=st.integers(1, 2000))
+    def test_matches_direct(self, stencil, n):
+        gs = green_spectral(stencil, n)
+        gd = green_direct(stencil, n)
+        assert gs.min_offset == gd.min_offset
+        assert len(gs.values) == len(gd.values)
+        assert np.max(np.abs(gs.values - gd.values)) <= 1e-13
+        assert abs(complex(gs.values.sum()) - 1.0) <= 1e-12
+        assert not np.any(gs.values.imag)
+
+    @_PROPERTY_SETTINGS
+    @given(stencil=admissible_stencils(),
+           n=st.integers(1, 10 ** 5))
+    def test_reflection_keeps_norms(self, stencil, n):
+        g = green_spectral(stencil, n)
+        a = norms(g)
+        b = norms(green_spectral(stencil.reflected(), n))
+        # l1 also sums the rounding floor of every entry left in the window.
+        assert b.l1 == pytest.approx(a.l1, rel=1e-12,
+                                     abs=1e-15 * len(g.values))
+        assert b.l2 == pytest.approx(a.l2, rel=1e-12)
+        assert b.linf == pytest.approx(a.linf, rel=1e-12)
+
+    @pytest.mark.parametrize("n", (10 ** 4, 10 ** 5, 10 ** 6))
+    def test_semigroup(self, n):
+        assert _semigroup_residual(lax_wendroff(0.75), n) <= 1e-13
+
+    @pytest.mark.parametrize("stencil,l1_full", [
+        # l1(G^(10^6)) from the alias-free transform of the whole support
+        (lax_wendroff(0.3), 5.292780429039197),
+        (lax_wendroff(0.85), 3.6377225035370677),
+        (beam_warming(0.3), 4.072232785789819),
+        (beam_warming(1.5), 4.597435639630483),
+    ])
+    def test_l1_matches_full_route(self, stencil, l1_full):
+        g, _ = _spectral_window(stencil, 10 ** 6)
+        assert float(np.abs(g.values).sum()) == pytest.approx(l1_full,
+                                                              rel=1e-8)
+
+    def test_window_is_short_at_large_n(self):
+        g, size = _spectral_window(lax_wendroff(0.75), 10 ** 6)
+        assert size <= 1 << 15
+        assert len(g.values) <= size
+        assert g.min_offset <= 750000 <= g.max_offset
+
+    @pytest.mark.parametrize("stencil", [
+        lax_wendroff(0.75),                      # small n: window > support
+        Stencil(0, (0.25, 0.75)),                # upwind: kappa2 != 0
+        Stencil(-1, (0.1, 0.7, 0.1)),            # not conservative
+        Stencil(-1, (0.25 - 0.05j, 0.5 + 0.1j, 0.25 - 0.05j)),  # complex
+    ])
+    def test_alias_free_fallback(self, stencil):
+        n = 100
+        g, size = _spectral_window(stencil, n)
+        assert size == _spectral_size(n, stencil.support_width)
+        assert g.min_offset == n * stencil.min_offset
+        assert len(g.values) == n * stencil.support_width + 1
+        gd = green_direct(stencil, n)
+        assert np.max(np.abs(g.values - gd.values)) <= 1e-13
+
+    def test_averaging_stencil_is_exactly_real(self):
+        g = green_spectral(Stencil(0, (0.5, 0.5)), 1000)
+        assert not np.any(g.values.imag)
+
+    def test_budget_checked_before_each_doubling(self, monkeypatch):
+        # A short a-priori window fails the guard check and doubles.
+        monkeypatch.setattr(green, "_TAIL_LOG", 1.0)
+        s = lax_wendroff(0.75)
+        first = green._window_plan(s, 10 ** 5)[1]
+        _, size = _spectral_window(s, 10 ** 5)
+        assert size > first
+        # Room for the first transform but not for the doubled one.
+        budget = 16 * 12 * (first // 2 + 1) * 1.5 / 1e6
+        with pytest.raises(MemoryBudgetError):
+            _spectral_window(s, 10 ** 5, memory_budget_mb=budget)
+
+
+class TestWorkCap:
+    def test_direct_refused_before_work(self):
+        with pytest.raises(WorkBudgetError):
+            green_direct(lax_wendroff(0.75), 10 ** 6)
+
+    def test_evolve_refused_before_work(self):
+        with pytest.raises(WorkBudgetError):
+            evolve(lax_wendroff(0.75), delta(), 10 ** 6)
+
+    def test_cap_arithmetic(self):
+        # start + steps * (start + steps * width) against WORK_LIMIT = 2e9
+        green._check_work(31622, 1, 2)
+        with pytest.raises(WorkBudgetError):
+            green._check_work(31623, 1, 2)
+        with pytest.raises(WorkBudgetError):
+            green._check_work(0.0, float("inf"), 2)
 
 
 class TestSweep:

@@ -45,6 +45,12 @@ class TestStencil:
         with pytest.raises(ValueError):
             Stencil(0, (0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf,
+                                     complex(0.5, math.nan)])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Stencil(0, (0.5, bad))
+
     def test_conservative_sum(self):
         s = beam_warming(1.5)
         assert abs(s.coefficient_sum() - 1.0) <= CONSERVATION_TOL
