@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import ApproxParams, approx_G, growth_constant
-from .green import (GreenTable, GridFunction, _spectral_window, evolve,
-                    green_direct)
+from .green import (GreenTable, GridFunction, _direct_tables,
+                    _spectral_window, evolve)
 from .stencil import (
     C3_FLOOR,
     C4_FLOOR,
@@ -42,6 +42,7 @@ __all__ = [
     "growth_series",
     "bv_bounds",
     "bv_apply_bound",
+    "total_variation",
     "oscillation_side",
     "FIT_WINDOW",
     "FIT_SAFETY",
@@ -235,7 +236,7 @@ def envelope_reports(stencil: Stencil,
     n_values = sorted(int(n) for n in n_values)
     if not n_values or n_values[0] < 1:
         raise ValueError("n_values must be positive integers")
-    tables = {n: green_direct(stencil, n) for n in n_values}
+    tables = {g.n: g for g in _direct_tables(stencil, n_values)}
     largest = tables[n_values[-1]]
     if c_fast is None:
         c_fast = fit_decay_rate(largest, e, "fast")
@@ -321,19 +322,15 @@ class BVReport:
     """Uniform bounds on the cumulative sums of the Green's function.
 
     sup_cumsum_per_n[k] is sup over j of |sum_{l <= j} G_l^n| for the k-th
-    step count; heaviside_linf_per_n holds the same number computed the
-    independent way, as the sup norm of the evolved Heaviside sequence.
+    step count from the spectral route; heaviside_linf_per_n holds the same
+    number from the direct route, as the sup norm of the evolved Heaviside
+    sequence.
     """
 
     n_values: tuple
     sup_cumsum_per_n: tuple
     sup_overall: float
     heaviside_linf_per_n: tuple
-
-
-def _heaviside() -> GridFunction:
-    return GridFunction(min_index=0, values=(1.0,), left_tail=0.0,
-                        right_tail=1.0)
 
 
 def _grid_linf(u: GridFunction) -> float:
@@ -344,11 +341,12 @@ def _grid_linf(u: GridFunction) -> float:
 def bv_bounds(stencil: Stencil, n_values) -> BVReport:
     """Sup of cumulative Green's sums per n, by two independent routes.
 
-    Route one sums the windowed spectral table; route two evolves the
-    Heaviside sequence by direct convolution, whose sup norm equals the same
-    quantity by the identity (L_a^n H)_j = sum_{l <= j} G_l^n.  Partial sums
-    of a conservative table telescope to 1 at the right support edge, while
-    the sup captures the overshoot of the oscillatory zone.
+    Route one sums the windowed spectral table.  Route two is the sup norm
+    of the evolved Heaviside sequence H, which by the identity
+    (L_a^n H)_j = sum_{l <= j} G_l^n is the cumulative sum of the direct
+    table together with the tails 0 and (sum a_l)^n.  Partial sums of a
+    conservative table telescope to 1 at the right support edge, while the
+    sup captures the overshoot of the oscillatory zone.
     """
     audit = assumption_audit(stencil)
     if not audit.admissible:
@@ -356,18 +354,14 @@ def bv_bounds(stencil: Stencil, n_values) -> BVReport:
     n_values = sorted(int(n) for n in n_values)
     if not n_values or n_values[0] < 1:
         raise ValueError("n_values must be positive integers")
+    total = abs(stencil.coefficient_sum())
+    linfs = [max(float(np.max(np.abs(np.cumsum(g.values)))), total ** g.n)
+             for g in _direct_tables(stencil, n_values)]
     sups = []
     for n in n_values:
         # Partial sums are 0 left of the window and constant right of it.
         g, _ = _spectral_window(stencil, n)
         sups.append(float(np.max(np.abs(np.cumsum(g.values)))))
-    linfs = []
-    u = _heaviside()
-    done = 0
-    for n in n_values:
-        u = evolve(stencil, u, n - done)
-        done = n
-        linfs.append(_grid_linf(u))
     return BVReport(n_values=tuple(n_values), sup_cumsum_per_n=tuple(sups),
                     sup_overall=max(sups), heaviside_linf_per_n=tuple(linfs))
 

@@ -6,9 +6,9 @@ line carries only the configuration, never wall-clock time.  Files are
 written to a uniquely named temporary sibling and renamed into place so a
 crash cannot leave a partial artifact.
 
-Exit codes: 0 success, 2 invalid configuration, 3 inadmissible scheme under
---require-admissible, 4 memory budget or work cap refusal, 5 failed
-acceptance predicate under --strict.
+Exit codes: 0 success, 2 invalid configuration or unwritable output, 3
+inadmissible scheme under --require-admissible, 4 memory budget or work cap
+refusal, 5 failed acceptance predicate under --strict.
 """
 
 from __future__ import annotations
@@ -521,6 +521,10 @@ def main(argv=None) -> int:
     except (MemoryBudgetError, WorkBudgetError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_MEMORY
+    except OSError as ex:
+        print(f"error: cannot write {args.out or 'stdout'}: "
+              f"{ex.strerror or ex}", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_CONFIG

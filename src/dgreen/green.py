@@ -2,7 +2,8 @@
 
 The Green's function of n steps is the n-fold self convolution of the stencil
 coefficients: G^n = L_a^n delta.  Two routes compute it.  The direct route
-iterates np.convolve (cost O(n^2 |support|)) and serves as the oracle.  The
+iterates np.convolve (cost O(n^2 |support|), in float64 for real stencils);
+it is the oracle, and evolve convolves grid data with its table.  The
 spectral route samples the n-th power of the symbol and inverts the DFT.  For
 stencils meeting the paper's assumptions the mass of G^n sits in an O(sqrt n)
 window around the front j = alpha*n, so the route samples only as many
@@ -53,7 +54,8 @@ DEFAULT_MEMORY_BUDGET_MB = 512.0
 # Cap on the entries a convolution step loop touches.  A loop of `steps`
 # steps that starts from a window of `start` entries touches about
 # start + steps * (start + steps * width) of them.  green_direct gets through
-# about 6e7 a second, so the cap refuses loops longer than half a minute.
+# about 2e8 a second in float64 and 5e7 in complex arithmetic, so the cap
+# refuses loops longer than about ten seconds (forty for complex stencils).
 WORK_LIMIT = 2e9
 
 # Window sizing of the spectral route.  The wake of G^n is damped like
@@ -137,27 +139,12 @@ class GridFunction:
 
 
 def apply(stencil: Stencil, u: GridFunction) -> GridFunction:
-    """One step (L_a u)_j = sum_l a_l u_{j-l}.
+    """One step (L_a u)_j = sum_l a_l u_{j-l}: evolve(stencil, u, 1).
 
     The stored window widens by the stencil support; tails map to
     tail * sum(a_l), which preserves them for conservative stencils.
     """
-    kernel = stencil.as_array()
-    width = stencil.support_width
-    padded = np.concatenate([
-        np.full(width, complex(u.left_tail)),
-        u.values,
-        np.full(width, complex(u.right_tail)),
-    ])
-    full = np.convolve(kernel, padded)
-    # full[q] sits at index j = min_offset + (min_index - width) + q; keep
-    # j in [min_index + min_offset, max_index + max_offset].
-    out = full[width:width + len(u.values) + width]
-    total = stencil.coefficient_sum()
-    return GridFunction(min_index=u.min_index + stencil.min_offset,
-                       values=out, dx=u.dx,
-                       left_tail=u.left_tail * total,
-                       right_tail=u.right_tail * total)
+    return evolve(stencil, u, 1)
 
 
 def _check_work(steps, start, width: int) -> None:
@@ -173,6 +160,27 @@ def _check_work(steps, start, width: int) -> None:
             f"the work cap of {WORK_LIMIT:.0e} entries touched")
 
 
+def _direct_tables(stencil: Stencil, n_values):
+    """Yield green_direct(stencil, n) for each n of the sorted list n_values.
+
+    One convolution loop serves the whole list, so it costs the steps of the
+    largest n alone.  Real stencils convolve in float64 and cast each table
+    to complex128 once.  WorkBudgetError for the largest n is raised before
+    anything is allocated.
+    """
+    _check_work(n_values[-1], 1, stencil.support_width)
+    kernel = stencil.as_array()
+    if not kernel.imag.any():
+        kernel = kernel.real.copy()
+    values, done = kernel, 1
+    for n in n_values:
+        for _ in range(n - done):
+            values = np.convolve(values, kernel)
+        done = n
+        yield GreenTable(n=n, min_offset=n * stencil.min_offset,
+                         values=values.astype(complex), method="direct")
+
+
 def green_direct(stencil: Stencil, n: int) -> GreenTable:
     """G^n by iterated convolution of the coefficient array.  Oracle route.
 
@@ -180,13 +188,7 @@ def green_direct(stencil: Stencil, n: int) -> GreenTable:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_work(n, 1, stencil.support_width)
-    kernel = stencil.as_array()
-    values = kernel.copy()
-    for _ in range(n - 1):
-        values = np.convolve(values, kernel)
-    return GreenTable(n=n, min_offset=n * stencil.min_offset,
-                      values=values, method="direct")
+    return next(_direct_tables(stencil, [n]))
 
 
 def _spectral_size(n: int, width: int) -> int:
@@ -440,17 +442,40 @@ def spectral_sweep(stencil: Stencil, n_max: int,
 
 
 def evolve(stencil: Stencil, u0: GridFunction, n: int) -> GridFunction:
-    """n-fold application of the stencil; evolve(s, delta, n) matches green_direct.
+    """n applications of the stencil: u0 convolved with G^n plus its tails.
 
-    Raises WorkBudgetError when the step loop would exceed WORK_LIMIT.
+    The window widens by n * support_width.  A right tail R adds R times the
+    cumulative sum of G^n and a left tail L adds L times the reversed one;
+    outside the window the tails become tail * (sum a_l)^n.  The arithmetic
+    is float64 when the stencil, the data and the tails are all real, so
+    evolve(s, delta, n) equals green_direct(s, n) bit for bit.
+
+    Raises WorkBudgetError when start + n * (start + n * width) exceeds
+    WORK_LIMIT, start being the length of u0's window.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_work(n, len(u0.values), stencil.support_width)
-    u = u0
-    for _ in range(n):
-        u = apply(stencil, u)
-    return u
+    if n == 0:
+        return u0
+    g = green_direct(stencil, n).values
+    u = u0.values
+    left, right = complex(u0.left_tail), complex(u0.right_tail)
+    if not (g.imag.any() or u.imag.any() or left.imag or right.imag):
+        g, u, left, right = g.real, u.real, left.real, right.real
+    out = np.convolve(u, g)
+    # out[p] sits at j = min_index + n * min_offset + p.  Sites right of the
+    # data add right * sum_{l < j - max_index} G_l, sites left of it
+    # left * sum_{l > j - min_index} G_l.
+    if right:
+        out[len(u):] += right * np.cumsum(g)[:-1]
+    if left:
+        out[:-len(u)] += left * np.cumsum(g[::-1])[::-1][1:]
+    total = stencil.coefficient_sum() ** n
+    return GridFunction(min_index=u0.min_index + n * stencil.min_offset,
+                        values=out, dx=u0.dx,
+                        left_tail=u0.left_tail * total,
+                        right_tail=u0.right_tail * total)
 
 
 def cell_average_indicator(x_lo: float, x_hi: float, half_width: float) -> float:

@@ -43,6 +43,17 @@ C3_FLOOR = 1e-12
 C4_FLOOR = 1e-12
 CONSERVATION_TOL = 1e-12
 
+# Dissipation must clear rounding: 1 - |F(theta)| has to exceed
+# MARGIN_FLOOR * sum |a_l| * sin(theta/2)^4 at every sampled theta.  The
+# rounding error of the sampled |F| is bounded by about 20 eps sum |a_l| for
+# 3- to 5-point stencils (one rounding per term, per addition and in the
+# phase l*theta); the floor sits more than ten times above that.  The weight
+# sin(theta/2)^4 is the contact order of every admissible symbol at 0
+# (1 - |F|^2 = 2 c4 theta^4 + ..., for Lax-Wendroff and Beam-Warming exactly
+# a multiple of sin(theta/2)^4), so the quartically small margin next to the
+# excluded neighbourhood of 0, which the c4 > 0 check governs, never meets it.
+MARGIN_FLOOR = 256 * float(np.finfo(float).eps)
+
 
 def _trimmed(coefficients, min_offset):
     """Drop exactly-zero leading/trailing coefficients, tracking the offset."""
@@ -177,9 +188,11 @@ def dissipation_check(stencil: Stencil, grid_size: int = 4096,
                       exclusion_radius: float = 1e-3):
     """Sample |F_a| on [-pi, pi] outside (-r, r); return (dissipative, min_margin).
 
-    min_margin = 1 - max |F_a| over the sampled set.  The exclusion radius
-    keeps the neutral point theta = 0 out of the sample; it must satisfy
-    0 < r < pi.
+    min_margin = 1 - max |F_a| over the sampled set.  dissipative requires
+    1 - |F_a(theta)| > MARGIN_FLOOR * sum |a_l| * sin(theta/2)^4 at every
+    sample, so a margin at rounding level away from theta = 0 is refused.
+    The exclusion radius keeps the neutral point theta = 0 out of the
+    sample; it must satisfy 0 < r < pi.
     """
     if grid_size < 64:
         raise ValueError("grid_size must be at least 64")
@@ -187,9 +200,10 @@ def dissipation_check(stencil: Stencil, grid_size: int = 4096,
         raise ValueError("exclusion_radius must lie in (0, pi)")
     theta = np.linspace(-math.pi, math.pi, grid_size)
     theta = theta[np.abs(theta) >= exclusion_radius]
-    modulus = np.abs(symbol_eval(stencil, theta))
-    min_margin = float(1.0 - np.max(modulus))
-    return min_margin > 0.0, min_margin
+    margins = 1.0 - np.abs(symbol_eval(stencil, theta))
+    floor = (MARGIN_FLOOR * math.fsum(abs(c) for c in stencil.coefficients)
+             * np.sin(0.5 * theta) ** 4)
+    return bool(np.all(margins > floor)), float(np.min(margins))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dgreen import analysis
 from dgreen.analysis import (
     bv_apply_bound,
     bv_bounds,
@@ -18,7 +19,8 @@ from dgreen.analysis import (
     total_variation,
 )
 from dgreen.approx import ApproxParams, approx_G, growth_constant
-from dgreen.green import GreenTable, GridFunction, green_direct, green_spectral
+from dgreen.green import (GreenTable, GridFunction, WorkBudgetError,
+                          green_direct, green_spectral)
 from dgreen.stencil import Stencil, beam_warming, expansion_coefficients, lax_wendroff
 
 LW34 = lax_wendroff(0.75)
@@ -128,6 +130,18 @@ class TestEnvelopeReports:
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
             envelope_reports(Stencil(0, (0.25, 0.75)), (100, 200))
+
+
+class TestWorkCap:
+    def test_reports_refused_before_loop(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the cap was checked")
+        monkeypatch.setattr(np, "convolve", fail)
+        monkeypatch.setattr(analysis, "_spectral_window", fail)
+        with pytest.raises(WorkBudgetError):
+            bv_bounds(LW34, (100, 10 ** 6))
+        with pytest.raises(WorkBudgetError):
+            envelope_reports(LW34, (250, 10 ** 6))
 
 
 class TestOneSidedSums:

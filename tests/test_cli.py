@@ -97,6 +97,13 @@ class TestExitCodes:
         assert "work cap" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "g.csv"
+        assert run("green", "--scheme", "lw", "--lambda", "0.75",
+                   "--n", "8", "--out", str(out)) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+        assert not out.parent.exists()
+
     def test_nonfinite_coefficient(self, capsys):
         assert run("coeffs", "--scheme", "custom",
                    "--custom", "0:nan:0") == EXIT_CONFIG

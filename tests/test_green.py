@@ -33,6 +33,25 @@ def delta():
     return GridFunction(min_index=0, values=(1.0,))
 
 
+COMPLEX = Stencil(-1, (0.25 - 0.05j, 0.5 + 0.1j, 0.25 - 0.05j))
+
+
+def step_loop(stencil, u, n):
+    """Reference evolution: n single steps on a window padded with the tails."""
+    kernel = stencil.as_array()
+    width = stencil.support_width
+    total = stencil.coefficient_sum()
+    values, lo = u.values, u.min_index
+    left, right = complex(u.left_tail), complex(u.right_tail)
+    for _ in range(n):
+        padded = np.concatenate([np.full(width, left), values,
+                                 np.full(width, right)])
+        values = np.convolve(kernel, padded)[width:width + len(values) + width]
+        lo += stencil.min_offset
+        left, right = left * total, right * total
+    return GridFunction(lo, values, left_tail=left, right_tail=right)
+
+
 class TestGridFunction:
     def test_tails(self):
         u = GridFunction(2, (1.0, 2.0), left_tail=-1.0, right_tail=3.0)
@@ -126,6 +145,49 @@ class TestGreenTables:
         monkeypatch.setenv("DG_MEMORY_BUDGET_MB", "0.001")
         with pytest.raises(MemoryBudgetError):
             green_spectral(lax_wendroff(0.75), 10000)
+
+
+class TestEvolveEquivalence:
+    @pytest.mark.parametrize("stencil", [
+        lax_wendroff(0.75), beam_warming(1.5), COMPLEX,
+        Stencil(-1, (0.1, 0.7, 0.1)),            # not conservative
+    ])
+    @pytest.mark.parametrize("kind", ("real", "complex"))
+    @pytest.mark.parametrize("n", (0, 1, 7, 50))
+    def test_matches_step_loop(self, stencil, kind, n):
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=9)
+        left, right = 0.5, -1.5
+        if kind == "complex":
+            values = values + 1j * rng.normal(size=9)
+            left, right = 0.5 - 0.25j, -1.5 + 2j
+        u = GridFunction(-3, values, left_tail=left, right_tail=right)
+        got, want = evolve(stencil, u, n), step_loop(stencil, u, n)
+        assert got.min_index == want.min_index
+        assert len(got.values) == len(want.values)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13
+        assert abs(got.left_tail - want.left_tail) <= 1e-13
+        assert abs(got.right_tail - want.right_tail) <= 1e-13
+
+    @pytest.mark.parametrize("stencil", [lax_wendroff(0.75),
+                                         beam_warming(0.5), COMPLEX])
+    @pytest.mark.parametrize("n", (1, 7, 50))
+    def test_delta_is_green_bit_for_bit(self, stencil, n):
+        u = evolve(stencil, delta(), n)
+        g = green_direct(stencil, n)
+        assert u.min_index == g.min_offset
+        assert np.array_equal(u.values, g.values)
+
+    @pytest.mark.parametrize("stencil", [lax_wendroff(0.75), COMPLEX])
+    def test_one_pass_tables_match_separate_calls(self, stencil):
+        n_values = [1, 1, 7, 50, 64]
+        tables = list(green._direct_tables(stencil, n_values))
+        assert [g.n for g in tables] == n_values
+        for g in tables:
+            ref = green_direct(stencil, g.n)
+            assert g.min_offset == ref.min_offset
+            assert g.values.dtype == ref.values.dtype == complex
+            assert np.array_equal(g.values, ref.values)
 
 
 @st.composite

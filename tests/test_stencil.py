@@ -200,6 +200,29 @@ class TestAudit:
         assert audit.expansion.kappa2 > 1e-2
         assert not audit.admissible
 
+    def test_rounding_level_margin_refused(self):
+        # Lax-Wendroff spread onto even sites: |F(pi)| = 1 - 1.3e-14.
+        audit = assumption_audit(Stencil(0, (0.375, 0, 0.75, 1.3e-14,
+                                             -0.125)))
+        assert 0 < audit.min_margin < 1e-13
+        assert not audit.dissipative
+        assert not audit.admissible
+
+    @pytest.mark.parametrize("stencil", [
+        lax_wendroff(0.05), lax_wendroff(0.75), beam_warming(0.9),
+        beam_warming(1.5),
+        # Two Lax-Wendroff steps: the 5-point stencil of the benchmark.
+        Stencil(-2, tuple(np.convolve(lax_wendroff(0.3).as_array(),
+                                      lax_wendroff(0.85).as_array()).real)),
+    ])
+    def test_margin_floor_keeps_schemes(self, stencil):
+        # Lax-Wendroff 0.05 and Beam-Warming 0.9 have margins below the
+        # floor's constant next to theta = 0; the sin(theta/2)^4 weight
+        # leaves that neighbourhood to the c4 > 0 check.
+        audit = assumption_audit(stencil)
+        assert audit.dissipative
+        assert audit.admissible
+
     def test_non_conservative_audited_normalized(self):
         # the audit normalizes by the coefficient sum so the expansion stays
         # informative, and the verdict is still inadmissible
