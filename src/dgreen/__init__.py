@@ -7,116 +7,10 @@ oscillatory approximation, the l1 growth law l1(G^n) ~ ell * n**(1/8), and
 uniform sup-norm bounds for data of bounded variation.
 """
 
-from .stencil import (
-    CONSERVATION_TOL,
-    C3_FLOOR,
-    C4_FLOOR,
-    KAPPA2_TOL,
-    AssumptionAudit,
-    Stencil,
-    SymbolExpansion,
-    assumption_audit,
-    beam_warming,
-    dissipation_check,
-    expansion_coefficients,
-    lax_wendroff,
-    modulus_identity_check,
-    symbol_eval,
-)
-from .green import (
-    DEFAULT_MEMORY_BUDGET_MB,
-    MEMORY_BUDGET_ENV,
-    GreenTable,
-    GridFunction,
-    MemoryBudgetError,
-    Norms,
-    WorkBudgetError,
-    apply,
-    cell_average_indicator,
-    evolve,
-    green_direct,
-    green_spectral,
-    norms,
-    sample_step,
-    spectral_sweep,
-)
-from .approx import (
-    ApproxParams,
-    airy_ai,
-    approx_G,
-    approx_H,
-    erf,
-    growth_constant,
-)
-from .analysis import (
-    FIT_SAFETY,
-    FIT_WINDOW,
-    BoundReport,
-    BVReport,
-    GrowthReport,
-    bv_apply_bound,
-    bv_bounds,
-    check_bound1,
-    check_bound2,
-    corollary1_sums,
-    envelope_reports,
-    fit_decay_rate,
-    growth_series,
-    omega,
-    oscillation_side,
-    total_variation,
-)
+from . import analysis, approx, green, stencil
+from .stencil import *
+from .green import *
+from .approx import *
+from .analysis import *
 
-__all__ = [
-    "CONSERVATION_TOL",
-    "C3_FLOOR",
-    "C4_FLOOR",
-    "KAPPA2_TOL",
-    "AssumptionAudit",
-    "Stencil",
-    "SymbolExpansion",
-    "assumption_audit",
-    "beam_warming",
-    "dissipation_check",
-    "expansion_coefficients",
-    "lax_wendroff",
-    "modulus_identity_check",
-    "symbol_eval",
-    "DEFAULT_MEMORY_BUDGET_MB",
-    "MEMORY_BUDGET_ENV",
-    "GreenTable",
-    "GridFunction",
-    "MemoryBudgetError",
-    "WorkBudgetError",
-    "Norms",
-    "apply",
-    "cell_average_indicator",
-    "evolve",
-    "green_direct",
-    "green_spectral",
-    "norms",
-    "sample_step",
-    "spectral_sweep",
-    "ApproxParams",
-    "airy_ai",
-    "approx_G",
-    "approx_H",
-    "erf",
-    "growth_constant",
-    "FIT_SAFETY",
-    "FIT_WINDOW",
-    "BoundReport",
-    "BVReport",
-    "GrowthReport",
-    "bv_apply_bound",
-    "bv_bounds",
-    "check_bound1",
-    "check_bound2",
-    "corollary1_sums",
-    "envelope_reports",
-    "fit_decay_rate",
-    "growth_series",
-    "omega",
-    "oscillation_side",
-    "total_variation",
-]
+__all__ = stencil.__all__ + green.__all__ + approx.__all__ + analysis.__all__

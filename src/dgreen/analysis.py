@@ -20,8 +20,6 @@ from .approx import ApproxParams, approx_G, growth_constant
 from .green import (GreenTable, GridFunction, _direct_tables,
                     _spectral_window, evolve)
 from .stencil import (
-    C3_FLOOR,
-    C4_FLOOR,
     KAPPA2_TOL,
     Stencil,
     SymbolExpansion,
@@ -33,7 +31,6 @@ __all__ = [
     "BoundReport",
     "GrowthReport",
     "BVReport",
-    "omega",
     "fit_decay_rate",
     "check_bound1",
     "check_bound2",
@@ -61,38 +58,33 @@ _MIN_FIT_POINTS = 4
 _LOG_SMALLEST = -1074 * math.log(2.0)
 
 
-def omega(j, n: int, alpha: float):
-    """Rescaled position (j - alpha*n) / n of site j relative to the front."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    w = (np.asarray(j, dtype=float) - alpha * n) / n
-    return float(w) if w.ndim == 0 else w
-
-
 def _require_admissible_expansion(e: SymbolExpansion) -> None:
     if e.kappa2 > KAPPA2_TOL:
         raise ValueError(
             f"expansion has nonvanishing second cumulant ({e.kappa2:.3e}); "
             "envelope analysis needs kappa2 = 0")
-    if abs(e.c3) <= C3_FLOOR or e.c4 <= C4_FLOOR:
+    if not e.nondegenerate:
         raise ValueError(
             "expansion is degenerate (c3 or c4 at rounding floor); "
             f"c3 = {e.c3:.3e}, c4 = {e.c4:.3e}")
 
 
 def _sides(g: GreenTable, e: SymbolExpansion):
-    """Distance to the front and the fast-side mask for g's support.
+    """x = |j - alpha*n| / n**(1/3) and the fast-side mask on g's support.
 
     For c3 > 0 the fast side is j - alpha*n >= 0 and the oscillatory side is
     j - alpha*n < 0; the sides switch with the sign of c3.  The front point
     itself belongs to the fast side.
     """
     d = g.offsets - e.alpha * g.n
-    if e.c3 > 0:
-        fast = d >= 0.0
-    else:
-        fast = d <= 0.0
-    return d, fast
+    fast = d >= 0.0 if e.c3 > 0 else d <= 0.0
+    return np.abs(d) / g.n ** (1.0 / 3.0), fast
+
+
+def _difference(g: GreenTable, e: SymbolExpansion) -> np.ndarray:
+    """|G - approx_G| on g's support."""
+    params = ApproxParams.from_expansion(e)
+    return np.abs(g.values - approx_G(params, g.n, g.offsets))
 
 
 def _log_envelope(x: np.ndarray, n: int, c_used: float, power: float) -> np.ndarray:
@@ -112,6 +104,8 @@ def _minimal_constant(q: np.ndarray, x: np.ndarray, n: int,
     when the envelope underflows to 0.0 at a point where q is nonzero, which
     means c_used is too large to witness anything at this n.
     """
+    if c_used <= 0.0:
+        raise ValueError("c_used must be positive")
     nonzero = q > 0.0
     if not np.any(nonzero):
         raise ValueError("no nonzero entries on this side of the front")
@@ -121,6 +115,20 @@ def _minimal_constant(q: np.ndarray, x: np.ndarray, n: int,
             f"envelope underflows to 0 where the table is nonzero; "
             f"c_used = {c_used:.6g} is too large for n = {n}")
     return float(np.exp(np.max(np.log(q[nonzero]) - log_env)))
+
+
+def _fit_rate(q: np.ndarray, x: np.ndarray, window: tuple,
+              safety: float) -> float:
+    lo, hi = window
+    sel = (x >= lo) & (x <= hi) & (q > 0.0)
+    if np.count_nonzero(sel) < _MIN_FIT_POINTS:
+        raise ValueError(
+            f"fewer than {_MIN_FIT_POINTS} usable points in the fit window; "
+            "n is too small for a rate fit")
+    slope = np.polyfit(x[sel] ** 1.5, -np.log(q[sel]), 1)[0]
+    if slope <= 0.0:
+        raise ValueError("fitted decay rate is not positive")
+    return float(safety * slope)
 
 
 def fit_decay_rate(g: GreenTable, e: SymbolExpansion, side: str,
@@ -135,27 +143,14 @@ def fit_decay_rate(g: GreenTable, e: SymbolExpansion, side: str,
     smaller n.
     """
     _require_admissible_expansion(e)
-    d, fast = _sides(g, e)
-    x_all = np.abs(d) / g.n ** (1.0 / 3.0)
+    x, fast = _sides(g, e)
     if side == "fast":
-        q = np.abs(g.values)
-        mask = fast
+        q, mask = np.abs(g.values), fast
     elif side == "difference":
-        params = ApproxParams.from_expansion(e)
-        q = np.abs(g.values - approx_G(params, g.n, g.offsets))
-        mask = ~fast
+        q, mask = _difference(g, e), ~fast
     else:
         raise ValueError("side must be 'fast' or 'difference'")
-    lo, hi = window
-    sel = mask & (x_all >= lo) & (x_all <= hi) & (q > 0.0)
-    if np.count_nonzero(sel) < _MIN_FIT_POINTS:
-        raise ValueError(
-            f"fewer than {_MIN_FIT_POINTS} usable points in the fit window; "
-            "n is too small for a rate fit")
-    slope = np.polyfit(x_all[sel] ** 1.5, -np.log(q[sel]), 1)[0]
-    if slope <= 0.0:
-        raise ValueError("fitted decay rate is not positive")
-    return float(safety * slope)
+    return _fit_rate(q[mask], x[mask], window, safety)
 
 
 def check_bound1(g: GreenTable, e: SymbolExpansion, c_used: float) -> float:
@@ -166,12 +161,9 @@ def check_bound1(g: GreenTable, e: SymbolExpansion, c_used: float) -> float:
     c3 < 0), where x = |j - alpha*n| / n**(1/3).
     """
     _require_admissible_expansion(e)
-    if c_used <= 0.0:
-        raise ValueError("c_used must be positive")
-    d, fast = _sides(g, e)
-    q = np.abs(g.values)[fast]
-    x = np.abs(d[fast]) / g.n ** (1.0 / 3.0)
-    return _minimal_constant(q, x, g.n, c_used, 0.25)
+    x, fast = _sides(g, e)
+    return _minimal_constant(np.abs(g.values)[fast], x[fast], g.n, c_used,
+                             0.25)
 
 
 def check_bound2(g: GreenTable, e: SymbolExpansion, c_used: float) -> float:
@@ -182,14 +174,9 @@ def check_bound2(g: GreenTable, e: SymbolExpansion, c_used: float) -> float:
     > 0 for c3 < 0).
     """
     _require_admissible_expansion(e)
-    if c_used <= 0.0:
-        raise ValueError("c_used must be positive")
-    d, fast = _sides(g, e)
-    params = ApproxParams.from_expansion(e)
-    diff = np.abs(g.values - approx_G(params, g.n, g.offsets))
-    q = diff[~fast]
-    x = np.abs(d[~fast]) / g.n ** (1.0 / 3.0)
-    return _minimal_constant(q, x, g.n, c_used, 1.0)
+    x, fast = _sides(g, e)
+    return _minimal_constant(_difference(g, e)[~fast], x[~fast], g.n, c_used,
+                             1.0)
 
 
 @dataclass(frozen=True)
@@ -236,14 +223,20 @@ def envelope_reports(stencil: Stencil,
     n_values = sorted(int(n) for n in n_values)
     if not n_values or n_values[0] < 1:
         raise ValueError("n_values must be positive integers")
-    tables = {g.n: g for g in _direct_tables(stencil, n_values)}
-    largest = tables[n_values[-1]]
+    # One pass per table; the largest one also feeds the rate fits.
+    fast_side, osc_side = {}, {}
+    for g in _direct_tables(stencil, n_values):
+        x, fast = _sides(g, e)
+        fast_side[g.n] = np.abs(g.values)[fast], x[fast]
+        osc_side[g.n] = _difference(g, e)[~fast], x[~fast]
     if c_fast is None:
-        c_fast = fit_decay_rate(largest, e, "fast")
+        c_fast = _fit_rate(*fast_side[n_values[-1]], FIT_WINDOW, FIT_SAFETY)
     if c_diff is None:
-        c_diff = fit_decay_rate(largest, e, "difference")
-    pairs1 = [(n, check_bound1(tables[n], e, c_fast)) for n in n_values]
-    pairs2 = [(n, check_bound2(tables[n], e, c_diff)) for n in n_values]
+        c_diff = _fit_rate(*osc_side[n_values[-1]], FIT_WINDOW, FIT_SAFETY)
+    pairs1 = [(n, _minimal_constant(*fast_side[n], n, c_fast, 0.25))
+              for n in n_values]
+    pairs2 = [(n, _minimal_constant(*osc_side[n], n, c_diff, 1.0))
+              for n in n_values]
     return (_assemble_bound_report("right_tail", c_fast, pairs1),
             _assemble_bound_report("left_difference", c_diff, pairs2))
 
@@ -256,12 +249,9 @@ def corollary1_sums(g: GreenTable, e: SymbolExpansion):
     n**(1/8); the growth lives entirely in the oscillatory side of G itself.
     """
     _require_admissible_expansion(e)
-    d, fast = _sides(g, e)
-    params = ApproxParams.from_expansion(e)
-    diff = np.abs(g.values - approx_G(params, g.n, g.offsets))
-    right_abs_sum = float(np.sum(np.abs(g.values)[fast]))
-    left_diff_abs_sum = float(np.sum(diff[~fast]))
-    return right_abs_sum, left_diff_abs_sum
+    _, fast = _sides(g, e)
+    return (float(np.sum(np.abs(g.values)[fast])),
+            float(np.sum(_difference(g, e)[~fast])))
 
 
 @dataclass(frozen=True)
@@ -296,7 +286,7 @@ def growth_series(stencil: Stencil, n_values) -> GrowthReport:
     if n_values[0] < 1:
         raise ValueError("n_values must be positive")
     e = expansion_coefficients(stencil)
-    if abs(e.c3) <= C3_FLOOR or e.c4 <= C4_FLOOR:
+    if not e.nondegenerate:
         raise ValueError(
             "growth constant undefined: c3 or c4 at rounding floor "
             f"(c3 = {e.c3:.3e}, c4 = {e.c4:.3e})")

@@ -237,34 +237,39 @@ class ApproxParams:
     c3_abs: float
     c3_sign: int
     c4: float
-    beta0: float
-    beta1: float
 
     def __post_init__(self):
-        if self.c3_abs <= 0.0:
+        if not self.c3_abs > 0.0:
             raise ValueError("c3_abs must be positive")
-        if self.c4 <= 0.0:
+        if not self.c4 > 0.0:
             raise ValueError("c4 must be positive")
         if self.c3_sign not in (-1, 1):
             raise ValueError("c3_sign must be +1 or -1")
-        beta0 = self.c4 / (9.0 * self.c3_abs ** 2)
-        beta1 = 2.0 / (3.0 * math.sqrt(3.0 * self.c3_abs))
-        if not (math.isclose(beta0, self.beta0, rel_tol=1e-14)
-                and math.isclose(beta1, self.beta1, rel_tol=1e-14)):
-            raise ValueError("beta0/beta1 disagree with c3, c4")
+
+    @property
+    def beta0(self) -> float:
+        return self.c4 / (9.0 * self.c3_abs ** 2)
+
+    @property
+    def beta1(self) -> float:
+        return 2.0 / (3.0 * math.sqrt(3.0 * self.c3_abs))
 
     @classmethod
     def from_values(cls, alpha: float, c3: float, c4: float) -> "ApproxParams":
-        c3_abs = abs(c3)
-        if c3_abs == 0.0:
-            raise ValueError("c3 must be nonzero")
-        return cls(alpha=alpha, c3_abs=c3_abs, c3_sign=1 if c3 > 0 else -1,
-                   c4=c4, beta0=c4 / (9.0 * c3_abs ** 2),
-                   beta1=2.0 / (3.0 * math.sqrt(3.0 * c3_abs)))
+        return cls(alpha=alpha, c3_abs=abs(c3), c3_sign=1 if c3 > 0 else -1,
+                   c4=c4)
 
     @classmethod
     def from_expansion(cls, expansion: SymbolExpansion) -> "ApproxParams":
         return cls.from_values(expansion.alpha, expansion.c3, expansion.c4)
+
+
+def _front_distance(params: ApproxParams, n: int, j):
+    """d = j - alpha*n as a 1-d array, and whether j was a scalar."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    jarr = np.asarray(j, dtype=float)
+    return np.atleast_1d(jarr) - params.alpha * n, jarr.ndim == 0
 
 
 def approx_G(params: ApproxParams, n: int, j):
@@ -275,14 +280,7 @@ def approx_G(params: ApproxParams, n: int, j):
     is even in j - alpha n, so the reflection is the identity on values.
     Exactly zero at j = alpha n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    jarr = np.asarray(j, dtype=float)
-    scalar = jarr.ndim == 0
-    jarr = np.atleast_1d(jarr)
-    d = jarr - params.alpha * n
-    if params.c3_sign < 0:
-        d = -d
+    d, scalar = _front_distance(params, n, j)
     ad = np.abs(d)
     c3n = 3.0 * params.c3_abs * n
     out = np.zeros_like(ad)
@@ -306,15 +304,10 @@ def approx_H(params: ApproxParams, n: int, j):
     front (d < 0) the value carries the extra Gaussian factor
     exp(-c4 d^2 / (9 c3^2 n)).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    d, scalar = _front_distance(params, n, j)
     if params.c3_sign < 0:
         raise ValueError("approx_H requires c3 > 0; "
                          "no front profile is defined for c3 < 0")
-    jarr = np.asarray(j, dtype=float)
-    scalar = jarr.ndim == 0
-    jarr = np.atleast_1d(jarr)
-    d = jarr - params.alpha * n
     z = (3.0 * params.c3_abs * n) ** (1.0 / 3.0)
     with np.errstate(under="ignore"):
         vals = airy_ai(d / z) / z

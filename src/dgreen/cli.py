@@ -14,17 +14,19 @@ refusal, 5 failed acceptance predicate under --strict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .approx import ApproxParams, approx_G, approx_H
 from .green import (
+    WORK_LIMIT,
     MemoryBudgetError,
     WorkBudgetError,
     _check_work,
@@ -34,7 +36,8 @@ from .green import (
     sample_step,
 )
 from .analysis import bv_bounds, envelope_reports, growth_series
-from .stencil import Stencil, assumption_audit, beam_warming, lax_wendroff
+from .stencil import (AssumptionAudit, Stencil, assumption_audit,
+                      beam_warming, lax_wendroff)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,25 +47,15 @@ EXIT_ACCEPTANCE = 5
 
 SCHEMA_VERSION = 1
 
-_GROWTH_DEFAULT_N = (1000, 10000, 100000)
-_BOUNDS_DEFAULT_N = (250, 500, 1000, 2000)
-_BV_DEFAULT_N = (100, 1000, 10000)
 
-
-class InadmissibleSchemeError(ValueError):
-    """Scheme fails the admissibility audit under --require-admissible."""
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated parameters for one CLI invocation.
 
     Exactly one stencil source is set: a named scheme (lw or bw) with its
-    Courant number, or explicit custom coefficients.  Documented defaults:
-    method 'spectral', half_width 0.5 (step data is the indicator of
-    [-1/2, 1/2]), growth_tol 0.15, n grids (1000, 10000, 100000) for growth,
-    (250, 500, 1000, 2000) for bounds, (100, 1000, 10000) for bv.  All runs
-    are seedless and deterministic.
+    Courant number, or explicit custom coefficients.  The field defaults
+    are the CLI defaults; n_list None selects the command's own grid.  All
+    runs are seedless and deterministic.
     """
 
     command: str
@@ -92,6 +85,20 @@ class RunConfig:
                 raise ValueError("--scheme custom requires --custom triplets")
         else:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not 0.0 <= self.growth_tol < math.inf:
+            raise ValueError("--growth-tol must be finite and >= 0")
+        if self.command == "green" and (self.n is None or self.n < 1):
+            raise ValueError("green requires --n >= 1")
+        if self.command == "evolve":
+            if self.dx is None or not 0 < self.dx < math.inf:
+                raise ValueError("evolve requires a finite --dx > 0")
+            if self.t_final is None or not 0 <= self.t_final < math.inf:
+                raise ValueError("evolve requires a finite --t >= 0")
+            if not 0 < self.half_width < math.inf:
+                raise ValueError("evolve requires a finite --half-width > 0")
+            if self.lam is None:
+                raise ValueError(
+                    "evolve requires --lambda to size the time step")
 
 
 def _parse_custom(text: str) -> tuple:
@@ -128,6 +135,11 @@ def make_stencil(cfg: RunConfig) -> Stencil:
     triplets = sorted(cfg.custom_coefficients)
     lo = triplets[0][0]
     hi = triplets[-1][0]
+    # The audit samples the symbol at 4096 points per stored coefficient.
+    if 4096 * (hi - lo + 1) > WORK_LIMIT:
+        raise WorkBudgetError(
+            f"custom offsets span {hi - lo + 1} sites; auditing them "
+            f"exceeds the work cap of {WORK_LIMIT:.0e} entries touched")
     dense = [0j] * (hi - lo + 1)
     for offset, re, im in triplets:
         dense[offset - lo] = complex(re, im)
@@ -173,72 +185,52 @@ def _scheme_meta(cfg: RunConfig) -> str:
     return f"scheme={cfg.scheme} lambda={cfg.lam!r}"
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _emit_json(cfg: RunConfig, s: Stencil, fields: dict,
+               accepted: bool = True) -> int:
+    """Write the command's JSON report; under --strict exit 5 unless accepted.
+
+    NaN and infinities are refused (ValueError) before anything is written.
+    """
+    stencil = {"label": s.label,
+               "coefficients": [[int(o), float(c.real), float(c.imag)]
+                                for o, c in zip(s.offsets, s.coefficients)]}
+    report = {"schema_version": SCHEMA_VERSION, "command": cfg.command,
+              "stencil": stencil, **fields}
+    _emit(cfg, json.dumps(report, indent=2, allow_nan=False) + "\n")
+    return EXIT_ACCEPTANCE if cfg.strict and not accepted else EXIT_OK
 
 
-def _stencil_json(s: Stencil):
-    return {
-        "label": s.label,
-        "coefficients": [[int(o), float(c.real), float(c.imag)]
-                         for o, c in zip(s.offsets, s.coefficients)],
-    }
-
-
-def _audit_or_raise(cfg: RunConfig, s: Stencil):
-    audit = assumption_audit(s)
-    if cfg.require_admissible and not audit.admissible:
-        raise InadmissibleSchemeError(
-            f"scheme {s.label or 'custom'} is not admissible")
-    return audit
-
-
-def cmd_coeffs(cfg: RunConfig) -> int:
-    s = make_stencil(cfg)
-    audit = _audit_or_raise(cfg, s)
+def cmd_coeffs(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
     e = audit.expansion
     if cfg.output_format == "json":
-        obj = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "coeffs",
-            "stencil": _stencil_json(s),
-            "alpha": e.alpha,
-            "kappa2": e.kappa2,
-            "c3": e.c3,
-            "c4": e.c4,
-            "residual5": e.residual5,
+        return _emit_json(cfg, s, {
+            **dataclasses.asdict(e),
             "sums_to_one": audit.sums_to_one,
             "dissipative": audit.dissipative,
             "min_margin": audit.min_margin,
             "admissible": audit.admissible,
-        }
-        text = _json_text(obj)
-    else:
-        lines = [f"stencil       {s.label or 'custom'}"]
-        for offset, c in zip(s.offsets, s.coefficients):
-            lines.append(f"a[{offset:+d}]        {_fmt(c.real)}"
-                         + (f" {_fmt(c.imag)}i" if c.imag else ""))
-        lines += [
-            f"alpha         {_fmt(e.alpha)}",
-            f"kappa2        {_fmt(e.kappa2)}",
-            f"c3            {_fmt(e.c3)}",
-            f"c4            {_fmt(e.c4)}",
-            f"residual5     {_fmt(e.residual5)}",
-            f"sums_to_one   {str(audit.sums_to_one).lower()}",
-            f"dissipative   {str(audit.dissipative).lower()}"
-            f" (margin {_fmt(audit.min_margin)})",
-            f"admissible    {str(audit.admissible).lower()}",
-        ]
-        text = "\n".join(lines) + "\n"
+        })
+    lines = [f"stencil       {s.label or 'custom'}"]
+    for offset, c in zip(s.offsets, s.coefficients):
+        lines.append(f"a[{offset:+d}]        {_fmt(c.real)}"
+                     + (f" {_fmt(c.imag)}i" if c.imag else ""))
+    lines += [
+        f"alpha         {_fmt(e.alpha)}",
+        f"kappa2        {_fmt(e.kappa2)}",
+        f"c3            {_fmt(e.c3)}",
+        f"c4            {_fmt(e.c4)}",
+        f"residual5     {_fmt(e.residual5)}",
+        f"sums_to_one   {str(audit.sums_to_one).lower()}",
+        f"dissipative   {str(audit.dissipative).lower()}"
+        f" (margin {_fmt(audit.min_margin)})",
+        f"admissible    {str(audit.admissible).lower()}",
+    ]
+    text = "\n".join(lines) + "\n"
     _emit(cfg, text)
     return EXIT_OK
 
 
-def cmd_green(cfg: RunConfig) -> int:
-    if cfg.n is None or cfg.n < 1:
-        raise ValueError("green requires --n >= 1")
-    s = make_stencil(cfg)
-    audit = _audit_or_raise(cfg, s)
+def cmd_green(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
     if cfg.method == "direct":
         table = green_direct(s, cfg.n)
     else:
@@ -252,10 +244,7 @@ def cmd_green(cfg: RunConfig) -> int:
         if params.c3_sign > 0:
             h_col = approx_H(params, cfg.n, offsets)
     if cfg.output_format == "json":
-        obj = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "green",
-            "stencil": _stencil_json(s),
+        return _emit_json(cfg, s, {
             "n": cfg.n,
             "method": table.method,
             "j": [int(j) for j in offsets],
@@ -264,34 +253,21 @@ def cmd_green(cfg: RunConfig) -> int:
             "abs": [float(a) for a in np.abs(values)],
             "approx_G": None if g_col is None else [float(v) for v in g_col],
             "approx_H": None if h_col is None else [float(v) for v in h_col],
-        }
-        text = _json_text(obj)
-    else:
-        lines = [f"# dgreen green {_scheme_meta(cfg)} n={cfg.n} "
-                 f"method={table.method}",
-                 "j,re,im,abs,approx_G,approx_H"]
-        mags = np.abs(values)
-        for k, j in enumerate(offsets):
-            g_s = _fmt(g_col[k]) if g_col is not None else ""
-            h_s = _fmt(h_col[k]) if h_col is not None else ""
-            lines.append(f"{int(j)},{_fmt(values[k].real)},"
-                         f"{_fmt(values[k].imag)},{_fmt(mags[k])},{g_s},{h_s}")
-        text = "\n".join(lines) + "\n"
-    _emit(cfg, text)
+        })
+    lines = [f"# dgreen green {_scheme_meta(cfg)} n={cfg.n} "
+             f"method={table.method}",
+             "j,re,im,abs,approx_G,approx_H"]
+    mags = np.abs(values)
+    for k, j in enumerate(offsets):
+        g_s = _fmt(g_col[k]) if g_col is not None else ""
+        h_s = _fmt(h_col[k]) if h_col is not None else ""
+        lines.append(f"{int(j)},{_fmt(values[k].real)},"
+                     f"{_fmt(values[k].imag)},{_fmt(mags[k])},{g_s},{h_s}")
+    _emit(cfg, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
-    if cfg.dx is None or not 0 < cfg.dx < math.inf:
-        raise ValueError("evolve requires a finite --dx > 0")
-    if cfg.t_final is None or not 0 <= cfg.t_final < math.inf:
-        raise ValueError("evolve requires a finite --t >= 0")
-    if not 0 < cfg.half_width < math.inf:
-        raise ValueError("evolve requires a finite --half-width > 0")
-    if cfg.lam is None:
-        raise ValueError("evolve requires --lambda to size the time step")
-    s = make_stencil(cfg)
-    _audit_or_raise(cfg, s)
+def cmd_evolve(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
     # dt = lambda * dx at unit velocity.  The loop is checked in floats,
     # before its size is rounded to integers; the step data alone has
     # 2 * ceil(half_width / dx) + 3 < 2 * half_width / dx + 5 cells.
@@ -315,195 +291,119 @@ def cmd_evolve(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_growth(cfg: RunConfig) -> int:
-    s = make_stencil(cfg)
-    _audit_or_raise(cfg, s)
-    n_list = cfg.n_list or _GROWTH_DEFAULT_N
-    report = growth_series(s, n_list)
+def cmd_growth(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
+    report = growth_series(s, cfg.n_list or (1000, 10000, 100000))
     accepted = (report.errors_decreasing
                 and report.final_rel_error <= cfg.growth_tol)
-    obj = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "growth",
-        "stencil": _stencil_json(s),
-        "n_values": list(report.n_values),
-        "l1_values": list(report.l1_values),
-        "ratios": list(report.ratios),
-        "ell_target": report.ell_target,
-        "final_rel_error": report.final_rel_error,
-        "errors_decreasing": report.errors_decreasing,
+    return _emit_json(cfg, s, {
+        **dataclasses.asdict(report),
         "tolerance": cfg.growth_tol,
         "accepted": accepted,
-    }
-    _emit(cfg, _json_text(obj))
-    if cfg.strict and not accepted:
-        return EXIT_ACCEPTANCE
-    return EXIT_OK
+    }, accepted)
 
 
-def _bound_json(report):
-    return {
-        "side": report.side,
-        "c_used": report.c_used,
-        "C_fitted_per_n": [[int(n), float(c)]
-                           for n, c in report.C_fitted_per_n],
-        "sup_C": report.sup_C,
-        "stable": report.stable,
-    }
-
-
-def cmd_bounds(cfg: RunConfig) -> int:
-    s = make_stencil(cfg)
-    audit = _audit_or_raise(cfg, s)
-    n_list = cfg.n_list or _BOUNDS_DEFAULT_N
-    rep1, rep2 = envelope_reports(s, n_list)
+def cmd_bounds(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
+    rep1, rep2 = (envelope_reports(s, cfg.n_list) if cfg.n_list
+                  else envelope_reports(s))
     accepted = rep1.stable and rep2.stable
-    obj = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "bounds",
-        "stencil": _stencil_json(s),
+    return _emit_json(cfg, s, {
         "sides_switched": audit.expansion.c3 < 0,
-        "bound1": _bound_json(rep1),
-        "bound2": _bound_json(rep2),
+        "bound1": dataclasses.asdict(rep1),
+        "bound2": dataclasses.asdict(rep2),
         "accepted": accepted,
-    }
-    _emit(cfg, _json_text(obj))
-    if cfg.strict and not accepted:
-        return EXIT_ACCEPTANCE
-    return EXIT_OK
+    }, accepted)
 
 
-def cmd_bv(cfg: RunConfig) -> int:
-    s = make_stencil(cfg)
-    _audit_or_raise(cfg, s)
-    n_list = cfg.n_list or _BV_DEFAULT_N
-    report = bv_bounds(s, n_list)
+def cmd_bv(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
+    report = bv_bounds(s, cfg.n_list or (100, 1000, 10000))
     sups = report.sup_cumsum_per_n
     stable = report.sup_overall <= 1.5 * float(np.median(sups))
     gaps = [abs(a - b) for a, b in zip(sups, report.heaviside_linf_per_n)]
-    obj = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "bv",
-        "stencil": _stencil_json(s),
+    return _emit_json(cfg, s, {
         "n_values": list(report.n_values),
         "sup_cumsum_per_n": list(sups),
         "heaviside_linf_per_n": list(report.heaviside_linf_per_n),
         "sup_overall": report.sup_overall,
         "max_identity_gap": max(gaps),
         "stable": stable,
-    }
-    _emit(cfg, _json_text(obj))
-    if cfg.strict and not stable:
-        return EXIT_ACCEPTANCE
-    return EXIT_OK
+    }, stable)
 
 
-_HANDLERS = {
-    "coeffs": cmd_coeffs,
-    "green": cmd_green,
-    "evolve": cmd_evolve,
-    "growth": cmd_growth,
-    "bounds": cmd_bounds,
-    "bv": cmd_bv,
+class _Command(NamedTuple):
+    handler: Callable[[RunConfig, Stencil, AssumptionAudit], int]
+    help: str
+    formats: tuple          # --format choices, the default first
+    arguments: tuple = ()   # (flag, add_argument keywords) of its own options
+
+
+_N_LIST = ("--n-list", {"help": "comma separated step counts"})
+
+_COMMANDS = {
+    "coeffs": _Command(cmd_coeffs, "stencil and symbol expansion data",
+                       ("text", "json")),
+    "green": _Command(cmd_green, "table of G^n with approximations",
+                      ("csv", "json"), (
+        ("--n", {"type": int, "help": "number of steps"}),
+        ("--method", {"choices": ("direct", "spectral")}),
+    )),
+    "evolve": _Command(cmd_evolve, "propagate step data to time t", ("csv",), (
+        ("--dx", {"type": float, "help": "cell size"}),
+        ("--t", {"dest": "t_final", "type": float,
+                 "help": "final time at unit velocity"}),
+        ("--half-width", {"type": float,
+                          "help": "step data is the indicator of [-w, w]"}),
+    )),
+    "growth": _Command(cmd_growth, "l1 growth law report", ("json",), (
+        _N_LIST,
+        ("--growth-tol", {"type": float,
+                          "help": "final relative error tolerance"}),
+    )),
+    "bounds": _Command(cmd_bounds, "envelope constant report", ("json",),
+                       (_N_LIST,)),
+    "bv": _Command(cmd_bv, "cumulative sum / BV bound report", ("json",),
+                   (_N_LIST,)),
 }
-
-_FORMAT_CHOICES = {
-    # Allowed --format values per command; first entry is the default.
-    "coeffs": ("text", "json"),
-    "green": ("csv", "json"),
-    "evolve": ("csv",),
-    "growth": ("json",),
-    "bounds": ("json",),
-    "bv": ("json",),
-}
-
-
-def _add_common(sub):
-    sub.add_argument("--scheme", choices=("lw", "bw", "custom"), default="lw")
-    sub.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="Courant number of the named scheme")
-    sub.add_argument("--custom", default=None,
-                     help="coefficients as offset:re:im triplets, "
-                          "comma separated")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", dest="output_format",
-                     choices=("text", "csv", "json"), default=None)
-    sub.add_argument("--strict", action="store_true",
-                     help="exit 5 when the acceptance predicate fails")
-    sub.add_argument("--require-admissible", action="store_true",
-                     help="exit 3 when the scheme fails the audit")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per _COMMANDS entry; options left out of argv stay out
+    of the namespace, so RunConfig's field defaults are the only ones."""
     parser = argparse.ArgumentParser(
         prog="dgreen",
         description="Green's functions of explicit one-step schemes: exact "
                     "tables, approximations, envelope and growth checks.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("coeffs", help="stencil and symbol expansion data")
-    _add_common(p)
-
-    p = subs.add_parser("green", help="table of G^n with approximations")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=None, help="number of steps")
-    p.add_argument("--method", choices=("direct", "spectral"),
-                   default="spectral")
-
-    p = subs.add_parser("evolve", help="propagate step data to time t")
-    _add_common(p)
-    p.add_argument("--dx", type=float, default=None, help="cell size")
-    p.add_argument("--t", dest="t_final", type=float, default=None,
-                   help="final time at unit velocity")
-    p.add_argument("--half-width", dest="half_width", type=float, default=0.5,
-                   help="step data is the indicator of [-w, w]")
-
-    p = subs.add_parser("growth", help="l1 growth law report")
-    _add_common(p)
-    p.add_argument("--n-list", dest="n_list", default=None,
-                   help="comma separated step counts")
-    p.add_argument("--growth-tol", dest="growth_tol", type=float,
-                   default=0.15, help="final relative error tolerance")
-
-    p = subs.add_parser("bounds", help="envelope constant report")
-    _add_common(p)
-    p.add_argument("--n-list", dest="n_list", default=None)
-
-    p = subs.add_parser("bv", help="cumulative sum / BV bound report")
-    _add_common(p)
-    p.add_argument("--n-list", dest="n_list", default=None)
-
+    for name, command in _COMMANDS.items():
+        p = subs.add_parser(name, help=command.help,
+                            argument_default=argparse.SUPPRESS)
+        p.add_argument("--scheme", choices=("lw", "bw", "custom"))
+        p.add_argument("--lambda", dest="lam", type=float,
+                       help="Courant number of the named scheme")
+        p.add_argument("--custom", dest="custom_coefficients",
+                       help="coefficients as offset:re:im triplets, "
+                            "comma separated")
+        p.add_argument("--out", dest="output_path",
+                       help="output path (default stdout)")
+        p.add_argument("--format", dest="output_format",
+                       choices=command.formats, default=command.formats[0])
+        p.add_argument("--strict", action="store_true",
+                       help="exit 5 when the acceptance predicate fails")
+        p.add_argument("--require-admissible", action="store_true",
+                       help="exit 3 when the scheme fails the audit")
+        for flag, keywords in command.arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fmt_choices = _FORMAT_CHOICES[args.command]
-    fmt = args.output_format or fmt_choices[0]
-    if fmt not in fmt_choices:
-        raise ValueError(
-            f"--format {fmt} is not valid for {args.command}; "
-            f"choose from {', '.join(fmt_choices)}")
-    custom = _parse_custom(args.custom) if args.custom else None
-    n_list = None
-    if getattr(args, "n_list", None):
-        n_list = _parse_n_list(args.n_list)
-    return RunConfig(
-        command=args.command,
-        scheme=args.scheme,
-        lam=args.lam,
-        custom_coefficients=custom,
-        n=getattr(args, "n", None),
-        n_list=n_list,
-        output_format=fmt,
-        output_path=args.out,
-        method=getattr(args, "method", "spectral"),
-        strict=args.strict,
-        require_admissible=args.require_admissible,
-        dx=getattr(args, "dx", None),
-        t_final=getattr(args, "t_final", None),
-        half_width=getattr(args, "half_width", 0.5),
-        growth_tol=getattr(args, "growth_tol", 0.15),
-    )
+    fields = dict(vars(args))
+    custom = fields.pop("custom_coefficients", None)
+    if custom:
+        fields["custom_coefficients"] = _parse_custom(custom)
+    n_list = fields.pop("n_list", None)
+    if n_list:
+        fields["n_list"] = _parse_n_list(n_list)
+    return RunConfig(**fields)
 
 
 def main(argv=None) -> int:
@@ -514,15 +414,18 @@ def main(argv=None) -> int:
         return ex.code if isinstance(ex.code, int) else EXIT_CONFIG
     try:
         cfg = config_from_args(args)
-        return _HANDLERS[cfg.command](cfg)
-    except InadmissibleSchemeError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+        s = make_stencil(cfg)
+        audit = assumption_audit(s)
+        if cfg.require_admissible and not audit.admissible:
+            print(f"error: scheme {s.label or 'custom'} is not admissible",
+                  file=sys.stderr)
+            return EXIT_INADMISSIBLE
+        return _COMMANDS[cfg.command].handler(cfg, s, audit)
     except (MemoryBudgetError, WorkBudgetError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_MEMORY
     except OSError as ex:
-        print(f"error: cannot write {args.out or 'stdout'}: "
+        print(f"error: cannot write {cfg.output_path or 'stdout'}: "
               f"{ex.strerror or ex}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as ex:

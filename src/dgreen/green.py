@@ -21,18 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .stencil import (
-    C3_FLOOR,
-    C4_FLOOR,
-    CONSERVATION_TOL,
-    KAPPA2_TOL,
-    Stencil,
-    _cumulants_from_moments,
-    _raw_moments,
-    symbol_eval,
-)
+from .stencil import KAPPA2_TOL, Stencil, _expansion, symbol_eval
 
 __all__ = [
+    "DEFAULT_MEMORY_BUDGET_MB",
+    "MEMORY_BUDGET_ENV",
     "GreenTable",
     "GridFunction",
     "MemoryBudgetError",
@@ -45,6 +38,7 @@ __all__ = [
     "sample_step",
     "cell_average_indicator",
     "norms",
+    "Norms",
 ]
 
 MEMORY_BUDGET_ENV = "DG_MEMORY_BUDGET_MB"
@@ -83,13 +77,19 @@ class GreenTable:
 
     min_offset is the index of values[0].  Tables from green_direct and
     green_spectral cover the whole support.  method records which route
-    built the table ("direct" or "spectral").
+    built the table ("direct" or "spectral").  Non-finite values, which
+    come from powers of the stencil that overflow, raise ValueError.
     """
 
     n: int
     min_offset: int
     values: np.ndarray
     method: str
+
+    def __post_init__(self):
+        if not np.isfinite(self.values).all():
+            raise ValueError(f"G^{self.n} overflows: the table has "
+                             "non-finite values")
 
     @property
     def max_offset(self) -> int:
@@ -174,9 +174,14 @@ def _direct_tables(stencil: Stencil, n_values):
         kernel = kernel.real.copy()
     values, done = kernel, 1
     for n in n_values:
-        for _ in range(n - done):
-            values = np.convolve(values, kernel)
-        done = n
+        if stencil.support_width == 0:
+            # A pure shift: G^n is a^n alone, and a loop of up to
+            # WORK_LIMIT steps would spend its time in call overhead.
+            values = kernel ** n
+        else:
+            for _ in range(n - done):
+                values = np.convolve(values, kernel)
+            done = n
         yield GreenTable(n=n, min_offset=n * stencil.min_offset,
                          values=values.astype(complex), method="direct")
 
@@ -223,19 +228,16 @@ def _window_plan(stencil: Stencil, n: int):
     The length is None for non-conservative or degenerate stencils (kappa2
     != 0, c3 or c4 at their floors), which take the alias-free grid.
     """
-    moments = _raw_moments(stencil, 5)
-    alpha = moments[1].real
-    _, k2, k3, k4, _ = _cumulants_from_moments(moments)
-    c3, c4 = k3.real / 6.0, -k4.real / 24.0
-    if (abs(moments[0] - 1.0) > CONSERVATION_TOL
-            or abs(k2) > KAPPA2_TOL or abs(c3) <= C3_FLOOR or c4 <= C4_FLOOR):
-        return alpha, None
-    wake = math.sqrt(_TAIL_LOG * 9.0 * c3 * c3 * n / c4)
-    front = ((3.0 * abs(c3) * n) ** (1.0 / 3.0)
+    e = _expansion(stencil, probe=False)
+    if not (stencil.is_conservative() and e.kappa2 <= KAPPA2_TOL
+            and e.nondegenerate):
+        return e.alpha, None
+    wake = math.sqrt(_TAIL_LOG * 9.0 * e.c3 * e.c3 * n / e.c4)
+    front = ((3.0 * abs(e.c3) * n) ** (1.0 / 3.0)
              * (1.5 * _TAIL_LOG) ** (2.0 / 3.0))
     half = wake + front
     needed = math.ceil(2.0 * half * _GUARD / (_GUARD - 2))
-    return alpha, max(16, 1 << (needed - 1).bit_length())
+    return e.alpha, max(16, 1 << (needed - 1).bit_length())
 
 
 # Taylor coefficients of (cos x - 1 + x^2/2) / x^4 and (sin x - x) / x^3 in
@@ -413,11 +415,10 @@ def spectral_sweep(stencil: Stencil, n_max: int,
         raise ValueError("n_max must be >= 1")
     width = stencil.support_width
     if width == 0:
-        mags = np.abs(np.asarray(
-            [stencil.coefficients[0] ** n for n in range(1, n_max + 1)]))
         sums = np.asarray(
             [stencil.coefficients[0] ** n for n in range(1, n_max + 1)])
-        return sums, mags.copy(), mags.copy(), mags.copy()
+        mags = np.abs(sums)
+        return sums, mags, mags.copy(), mags.copy()
     size = _spectral_size(n_max, width)
     _check_budget(4 * size, memory_budget_mb)
     theta = 2.0 * math.pi * np.arange(size) / size

@@ -24,6 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "CONSERVATION_TOL",
+    "C3_FLOOR",
+    "C4_FLOOR",
+    "KAPPA2_TOL",
     "Stencil",
     "SymbolExpansion",
     "AssumptionAudit",
@@ -75,7 +79,7 @@ class Stencil:
 
     The first and last stored coefficients are nonzero; constructors trim
     exact zeros at the ends so the support is tight.  Non-finite
-    coefficients raise ValueError.
+    coefficients, or coefficients whose sum overflows, raise ValueError.
     """
 
     min_offset: int
@@ -89,6 +93,10 @@ class Stencil:
         coeffs, lo = _trimmed(self.coefficients, self.min_offset)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "min_offset", lo)
+        try:
+            self.coefficient_sum()
+        except OverflowError:
+            raise ValueError("stencil coefficient sum overflows") from None
 
     @property
     def max_offset(self) -> int:
@@ -224,46 +232,55 @@ class SymbolExpansion:
     c4: float
     residual5: float
 
+    @property
+    def nondegenerate(self) -> bool:
+        """c3 != 0 and c4 > 0 beyond their rounding floors.
 
-def _raw_moments(stencil: Stencil, upto: int):
-    """Exact power sums m_k = sum_l l^k a_l for k = 0..upto."""
-    moments = []
-    for k in range(upto + 1):
-        moments.append(complex(
-            math.fsum((offset ** k) * c.real
-                      for offset, c in zip(stencil.offsets, stencil.coefficients)),
-            math.fsum((offset ** k) * c.imag
-                      for offset, c in zip(stencil.offsets, stencil.coefficients)),
-        ))
-    return moments
+        Only then does the front j = alpha*n split G^n into a fast-decay
+        side and an oscillatory side, and is the growth constant defined.
+        """
+        return abs(self.c3) > C3_FLOOR and self.c4 > C4_FLOOR
 
 
-def _cumulants_from_moments(m):
-    """First five cumulants from raw moments m[1..5] (m[0] must be 1)."""
-    m1, m2, m3, m4, m5 = m[1], m[2], m[3], m[4], m[5]
-    k1 = m1
-    k2 = m2 - m1 * m1
-    k3 = m3 - 3 * m1 * m2 + 2 * m1 ** 3
-    k4 = m4 - 4 * m1 * m3 - 3 * m2 * m2 + 12 * m1 * m1 * m2 - 6 * m1 ** 4
-    k5 = (m5 - 5 * m1 * m4 - 10 * m2 * m3 + 20 * m1 * m1 * m3
-          + 30 * m1 * m2 * m2 - 60 * m1 ** 3 * m2 + 24 * m1 ** 5)
-    return k1, k2, k3, k4, k5
+def _expansion(stencil: Stencil, normalization: complex = 1.0,
+               probe: bool = True) -> SymbolExpansion:
+    """Cumulant expansion of log(F_a / normalization) through order five.
 
-
-def _expansion_from_normalized_moments(stencil: Stencil, moments,
-                                       normalization: complex = 1.0) -> SymbolExpansion:
-    k1, k2, k3, k4, _k5 = _cumulants_from_moments(moments)
-    alpha = k1.real
-    c3 = k3.real / 6.0
-    c4 = -k4.real / 24.0
-    # Residual probe: the model uses only the real cumulant parts, so any
-    # imaginary contamination (complex stencils) also lands in residual5.
-    theta = np.linspace(-0.1, 0.1, 41)
-    theta = theta[theta != 0.0]
-    symbol = symbol_eval(stencil, theta) / normalization
-    model = 1j * alpha * theta - 1j * c3 * theta ** 3 - c4 * theta ** 4
-    residual5 = float(np.max(np.abs(np.log(symbol) - model) / np.abs(theta) ** 5))
-    return SymbolExpansion(alpha=alpha, kappa2=abs(k2), c3=c3, c4=c4,
+    The cumulants come from the exact power sums m_k = sum_l l^k a_l over
+    integer offsets, divided by the normalization.  residual5 comes from a
+    probe of the symbol near the origin; without `probe` it is NaN and the
+    symbol is never evaluated.  Raises ValueError when the power sums or
+    the cumulants overflow.
+    """
+    pairs = list(zip(range(stencil.min_offset, stencil.max_offset + 1),
+                     stencil.coefficients))
+    try:
+        m = [complex(math.fsum(l ** k * c.real for l, c in pairs),
+                     math.fsum(l ** k * c.imag for l, c in pairs))
+             for k in range(1, 5)]
+        if normalization != 1.0:
+            m = [mk / normalization for mk in m]
+        m1, m2, m3, m4 = m
+        k2 = m2 - m1 * m1
+        k3 = m3 - 3 * m1 * m2 + 2 * m1 ** 3
+        k4 = m4 - 4 * m1 * m3 - 3 * m2 * m2 + 12 * m1 * m1 * m2 - 6 * m1 ** 4
+        cumulants = (m1.real, abs(k2), k3.real / 6.0, -k4.real / 24.0)
+    except OverflowError:
+        cumulants = (math.inf,)
+    if not all(map(math.isfinite, cumulants)):
+        raise ValueError("the moments of the stencil coefficients overflow")
+    alpha, kappa2, c3, c4 = cumulants
+    residual5 = math.nan
+    if probe:
+        # The model uses only the real cumulant parts, so any imaginary
+        # contamination (complex stencils) also lands in residual5.
+        theta = np.linspace(-0.1, 0.1, 41)
+        theta = theta[theta != 0.0]
+        symbol = symbol_eval(stencil, theta) / normalization
+        model = 1j * alpha * theta - 1j * c3 * theta ** 3 - c4 * theta ** 4
+        residual5 = float(np.max(np.abs(np.log(symbol) - model)
+                                 / np.abs(theta) ** 5))
+    return SymbolExpansion(alpha=alpha, kappa2=kappa2, c3=c3, c4=c4,
                            residual5=residual5)
 
 
@@ -272,13 +289,13 @@ def expansion_coefficients(stencil: Stencil) -> SymbolExpansion:
 
     Moments are exact coefficient sums; no numerical differentiation is
     involved.  Raises ValueError for a non-conservative stencil, where the
-    expansion around F_a(0) = 1 does not apply.
+    expansion around F_a(0) = 1 does not apply, and when the moments
+    overflow.
     """
-    moments = _raw_moments(stencil, 5)
-    if abs(moments[0] - 1.0) > CONSERVATION_TOL:
-        raise ValueError(
-            f"stencil is not conservative: sum a_l = {moments[0]:.17g}")
-    return _expansion_from_normalized_moments(stencil, moments)
+    if not stencil.is_conservative():
+        raise ValueError(f"stencil is not conservative: "
+                         f"sum a_l = {stencil.coefficient_sum():.17g}")
+    return _expansion(stencil)
 
 
 @dataclass(frozen=True)
@@ -301,21 +318,15 @@ def assumption_audit(stencil: Stencil, grid_size: int = 4096,
     beyond rounding floors.  Non-conservative stencils are audited against
     the normalized symbol F_a / F_a(0) so the report stays informative.
     """
-    moments = _raw_moments(stencil, 5)
-    total = moments[0]
-    sums_to_one = abs(total - 1.0) <= CONSERVATION_TOL
-    normalization = 1.0
-    if not sums_to_one and total != 0:
-        moments = [mk / total for mk in moments]
-        normalization = total
-    expansion = _expansion_from_normalized_moments(stencil, moments,
-                                                   normalization)
+    total = stencil.coefficient_sum()
+    sums_to_one = stencil.is_conservative()
+    normalization = total if not sums_to_one and total != 0 else 1.0
+    expansion = _expansion(stencil, normalization)
     dissipative, min_margin = dissipation_check(stencil, grid_size,
                                                 exclusion_radius)
     admissible = (sums_to_one and dissipative
                   and expansion.kappa2 <= KAPPA2_TOL
-                  and abs(expansion.c3) > C3_FLOOR
-                  and expansion.c4 > C4_FLOOR)
+                  and expansion.nondegenerate)
     return AssumptionAudit(sums_to_one=sums_to_one, dissipative=dissipative,
                            min_margin=min_margin, expansion=expansion,
                            admissible=admissible)

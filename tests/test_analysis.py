@@ -14,7 +14,6 @@ from dgreen.analysis import (
     envelope_reports,
     fit_decay_rate,
     growth_series,
-    omega,
     oscillation_side,
     total_variation,
 )
@@ -25,23 +24,6 @@ from dgreen.stencil import Stencil, beam_warming, expansion_coefficients, lax_we
 
 LW34 = lax_wendroff(0.75)
 LW34_E = expansion_coefficients(LW34)
-
-
-class TestOmega:
-    def test_arithmetic(self):
-        assert omega(0, 4, 0.75) == -0.75
-        assert omega(3, 4, 0.75) == 0.0
-
-    def test_support_bound(self):
-        # |omega| <= 2M on the support, M the largest stencil offset
-        g = green_direct(LW34, 50)
-        w = omega(g.offsets, 50, LW34_E.alpha)
-        nonzero = np.abs(g.values) > 0
-        assert np.max(np.abs(w[nonzero])) <= 2.0
-
-    def test_positivity_check(self):
-        with pytest.raises(ValueError):
-            omega(0, 0, 0.75)
 
 
 class TestFitDecayRate:

@@ -181,6 +181,9 @@ class TestApproxParams:
         with pytest.raises(ValueError):
             ApproxParams.from_values(0.5, 0.05, -0.01)
         with pytest.raises(ValueError):
+            ApproxParams.from_values(0.5, math.nan, 0.01)
+        # beta0 and beta1 derive from c3 and c4; they cannot be passed.
+        with pytest.raises(TypeError):
             ApproxParams(alpha=0.5, c3_abs=0.05, c3_sign=1, c4=0.01,
                          beta0=1.0, beta1=1.0)
 

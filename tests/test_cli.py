@@ -1,10 +1,18 @@
+import contextlib
+import dataclasses
+import inspect
+import io
 import json
 import os
 import stat
+import tempfile
+from unittest import mock
 
-import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dgreen import cli
 from dgreen.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
@@ -13,6 +21,8 @@ from dgreen.cli import (
     EXIT_OK,
     RunConfig,
     _atomic_write,
+    build_parser,
+    config_from_args,
     main,
     make_stencil,
 )
@@ -315,3 +325,180 @@ class TestDeterminism:
                    "--n", "8", "--out", str(out)) == EXIT_OK
         meta = out.read_text().splitlines()[0]
         assert meta == "# dgreen green scheme=lw lambda=0.75 n=8 method=spectral"
+
+
+class TestDefaults:
+    """Parsing only the required flags gives these configurations."""
+
+    BASE = {"scheme": "lw", "lam": 0.75, "custom_coefficients": None,
+            "n": None, "n_list": None, "output_path": None,
+            "method": "spectral", "strict": False,
+            "require_admissible": False, "dx": None, "t_final": None,
+            "half_width": 0.5, "growth_tol": 0.15}
+
+    @pytest.mark.parametrize("argv, changed", [
+        (("coeffs",), {"output_format": "text"}),
+        (("green", "--n", "8"), {"output_format": "csv", "n": 8}),
+        (("evolve", "--dx", "0.1", "--t", "1"),
+         {"output_format": "csv", "dx": 0.1, "t_final": 1.0}),
+        (("growth",), {"output_format": "json"}),
+        (("bounds",), {"output_format": "json"}),
+        (("bv",), {"output_format": "json"}),
+    ])
+    def test_run_config(self, argv, changed):
+        args = build_parser().parse_args([*argv, "--lambda", "0.75"])
+        expected = {"command": argv[0], **self.BASE, **changed}
+        assert dataclasses.asdict(config_from_args(args)) == expected
+
+    @pytest.mark.parametrize("command, callee, n_values", [
+        ("growth", "growth_series", (1000, 10000, 100000)),
+        ("bounds", "envelope_reports", (250, 500, 1000, 2000)),
+        ("bv", "bv_bounds", (100, 1000, 10000)),
+    ])
+    def test_n_list(self, monkeypatch, capsys, command, callee, n_values):
+        signature = inspect.signature(getattr(cli, callee))
+        seen = []
+
+        def record(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(tuple(bound.arguments["n_values"]))
+            raise ValueError("recorded")
+
+        monkeypatch.setattr(cli, callee, record)
+        assert run(command, "--lambda", "0.75") == EXIT_CONFIG
+        assert seen == [n_values]
+        capsys.readouterr()
+
+
+def test_public_names():
+    import dgreen
+
+    assert set(dgreen.__all__) == set("""
+        CONSERVATION_TOL C3_FLOOR C4_FLOOR KAPPA2_TOL AssumptionAudit Stencil
+        SymbolExpansion assumption_audit beam_warming dissipation_check
+        expansion_coefficients lax_wendroff modulus_identity_check symbol_eval
+        DEFAULT_MEMORY_BUDGET_MB MEMORY_BUDGET_ENV GreenTable GridFunction
+        MemoryBudgetError WorkBudgetError Norms apply cell_average_indicator
+        evolve green_direct green_spectral norms sample_step spectral_sweep
+        ApproxParams airy_ai approx_G approx_H erf growth_constant FIT_SAFETY
+        FIT_WINDOW BoundReport BVReport GrowthReport bv_apply_bound bv_bounds
+        check_bound1 check_bound2 corollary1_sums envelope_reports
+        fit_decay_rate growth_series oscillation_side total_variation
+        """.split())
+    assert all(hasattr(dgreen, name) for name in dgreen.__all__)
+
+
+# Argument values for the fuzz: three draws in four ordinary, the rest zero,
+# negative, tiny, huge, past every size cap, non-finite, empty or garbage.
+def _values(ordinary, extreme):
+    ordinary = st.sampled_from(ordinary)
+    return st.one_of(ordinary, ordinary, ordinary,
+                     st.sampled_from(extreme + ["", "x", "nan", "inf", "-inf",
+                                                "1,2"]))
+
+
+_REALS = _values(["0.75", "0.5", "1.5", "0.1", "1"],
+                 ["0", "-1", "1e-300", "1e300"])
+_COUNTS = _values(["1", "3", "100", "2000"],
+                  ["0", "-5", "1000000", "1000000000", "1" + "0" * 30, "2.5"])
+_TRIPLETS = st.tuples(
+    _values(["-2", "-1", "0", "1", "2"], ["1000000000000", "-1000000000000"]),
+    _values(["0.5", "0.25", "-0.125", "0.375", "1"],
+            ["0", "2", "1e10", "1e200", "-1e200", "1e308"]),
+    _values(["0"], ["0.05"])).map(":".join)
+_N_LISTS = st.lists(_COUNTS, max_size=4).map(",".join)
+_STENCILS = st.one_of(
+    st.tuples(st.sampled_from(["lw", "bw"]), _REALS).map(
+        lambda p: [f"--scheme={p[0]}", f"--lambda={p[1]}"]),
+    st.lists(_TRIPLETS, max_size=5).map(
+        lambda t: ["--scheme=custom", "--custom=" + ",".join(t)]),
+    st.lists(st.sampled_from(["--scheme=x", "--scheme=custom", "--custom=",
+                              "--lambda=0.5", "--custom=0:1"]), max_size=2))
+_OPTIONS = {
+    "--lambda": _REALS,
+    "--format": _values(["json"], ["text", "csv"]),
+    "--strict": None,
+    "--require-admissible": None,
+}
+_OWN = {
+    "coeffs": {},
+    "green": {"--n": _COUNTS,
+              "--method": st.sampled_from(["direct", "spectral", "x"])},
+    "evolve": {"--dx": _REALS, "--t": _REALS, "--half-width": _REALS},
+    "growth": {"--n-list": _N_LISTS, "--growth-tol": _REALS},
+    "bounds": {"--n-list": _N_LISTS},
+    "bv": {"--n-list": _N_LISTS},
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_OWN)))
+    argv = [command, *draw(_STENCILS)]
+    for flag, value in sorted({**_OPTIONS, **_OWN[command]}.items()):
+        if draw(st.booleans()):
+            argv.append(flag if value is None else f"{flag}={draw(value)}")
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+# Inputs that ended in a traceback, a hang or a report with NaN or Infinity,
+# and the exit code each gives now.
+_CASES = {
+    "coeffs --scheme custom --custom=0:0.5:0,1000000000000:0.5:0": EXIT_MEMORY,
+    "coeffs --scheme custom --custom=0:1e308:0,1:1e308:0": EXIT_CONFIG,
+    "green --scheme custom --custom=0:1e200:0,1:-1e200:0,2:1:0 --n 3":
+        EXIT_CONFIG,
+    "green --scheme custom --custom=0:1e10:0,1:1:0 --n 100": EXIT_CONFIG,
+    "green --scheme custom --custom=0:2:0 --n 2000 --format json": EXIT_CONFIG,
+    "growth --lambda 0.75 --growth-tol nan": EXIT_CONFIG,
+    "green --scheme custom --custom=0:1:0 --n 1000000000 --method direct":
+        EXIT_OK,
+}
+
+
+def _with_cases(test):
+    for case in _CASES:
+        test = example(argv=case.split(), target="file")(test)
+    return test
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(argv=_argvs(), target=st.sampled_from(["file", "stdout", "missing"]))
+@_with_cases
+def test_cli_fuzz(argv, target):
+    """Every run ends in a documented exit code, without a traceback.
+
+    A failed run writes no artifact; exit 5 writes the report it judged.
+    Every JSON report is standard JSON, without NaN or Infinity.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # A small memory budget turns large tables into a quick exit 4.
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"DG_MEMORY_BUDGET_MB": "32"}), \
+            contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        path = os.path.join(tmp, "artifact")
+        out = {"file": ["--out", path], "stdout": [],
+               "missing": ["--out", os.path.join(tmp, "missing", "artifact")]}
+        code = main(argv + out[target])
+        written = sorted(os.listdir(tmp))
+        text = ""
+        if target == "file" and written:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INADMISSIBLE, EXIT_MEMORY,
+                    EXIT_ACCEPTANCE)
+    assert "Traceback" not in stderr.getvalue()
+    assert code == _CASES.get(" ".join(argv), code)
+    if code in (EXIT_OK, EXIT_ACCEPTANCE):
+        assert written == (["artifact"] if target == "file" else [])
+        text = text or stdout.getvalue()
+        if text.startswith("{"):
+            json.loads(text, parse_constant=_reject_constant)
+    else:
+        assert written == []

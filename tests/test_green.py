@@ -324,6 +324,12 @@ class TestWorkCap:
         with pytest.raises(WorkBudgetError):
             evolve(lax_wendroff(0.75), delta(), 10 ** 6)
 
+    def test_pure_shift_is_one_power(self):
+        g = green_direct(Stencil(-1, (-1.0,)), 10 ** 9 + 1)
+        assert g.min_offset == -(10 ** 9 + 1) and g.values.tolist() == [-1.0]
+        with pytest.raises(ValueError, match="overflows"):
+            green_direct(Stencil(0, (2.0,)), 2000)
+
     def test_cap_arithmetic(self):
         # start + steps * (start + steps * width) against WORK_LIMIT = 2e9
         green._check_work(31622, 1, 2)

@@ -51,6 +51,10 @@ class TestStencil:
         with pytest.raises(ValueError, match="finite"):
             Stencil(0, (0.5, bad))
 
+    def test_overflowing_sum_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            Stencil(0, (1e308, 1e308))
+
     def test_conservative_sum(self):
         s = beam_warming(1.5)
         assert abs(s.coefficient_sum() - 1.0) <= CONSERVATION_TOL
@@ -173,6 +177,17 @@ class TestExpansion:
     def test_non_conservative_rejected(self):
         with pytest.raises(ValueError):
             expansion_coefficients(Stencil(0, (0.25, 0.5)))
+
+    def test_wide_offsets_exact(self):
+        # Two halves 1e5 apart: kappa2 = N^2 / 4, c4 = N^4 / 192; l^4 = 1e20
+        # is past the int64 range.
+        e = expansion_coefficients(Stencil(0, (0.5,) + (0,) * 99999 + (0.5,)))
+        assert e.kappa2 == pytest.approx(1e10 / 4, rel=1e-15)
+        assert e.c4 == pytest.approx(1e20 / 192, rel=1e-15)
+
+    def test_overflowing_moments_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            expansion_coefficients(Stencil(0, (1e200, -1e200, 1.0)))
 
     def test_upwind_kappa2(self):
         e = expansion_coefficients(upwind(0.75))
