@@ -62,6 +62,9 @@ _TAIL_LOG = 40.0
 _GUARD = 8
 _EPS = float(np.finfo(float).eps)
 
+# Consecutive n that spectral_sweep powers and transforms as one batch.
+_SWEEP_BLOCK = 8
+
 
 class MemoryBudgetError(RuntimeError):
     """Raised when a spectral transform would exceed the memory budget."""
@@ -177,7 +180,9 @@ def _direct_tables(stencil: Stencil, n_values):
         if stencil.support_width == 0:
             # A pure shift: G^n is a^n alone, and a loop of up to
             # WORK_LIMIT steps would spend its time in call overhead.
-            values = kernel ** n
+            # GreenTable refuses a power that overflows.
+            with np.errstate(over="ignore"):
+                values = kernel ** n
         else:
             for _ in range(n - done):
                 values = np.convolve(values, kernel)
@@ -265,11 +270,14 @@ def _exact_sum(values) -> complex:
                    math.fsum(v.imag for v in values))
 
 
-def _grid_sum(values: np.ndarray, half: bool) -> float:
-    """Sum over the whole grid of samples stored once per conjugate pair."""
+def _grid_sum(values: np.ndarray, half: bool):
+    """Sum over the whole grid of samples stored once per conjugate pair.
+
+    Sums along the last axis, so a 2-d array gives one sum per row.
+    """
     if half:
-        return float(2.0 * values.sum() - values[0] - values[-1])
-    return float(values.sum())
+        return 2.0 * values.sum(axis=-1) - values[..., 0] - values[..., -1]
+    return values.sum(axis=-1)
 
 
 def _aliased_coefficients(stencil: Stencil, n: int, size: int, alpha: float,
@@ -308,7 +316,9 @@ def _aliased_coefficients(stencil: Stencil, n: int, size: int, alpha: float,
         scale += abs(coeff) * (np.abs(cos_tail) + np.abs(sin_tail))
         slope += (coeff * lag) * np.exp(1j * x)
     centred = 1.0 + z
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Powers that overflow give non-finite coefficients, which GreenTable
+    # refuses; numpy's warnings on the way would only repeat that.
+    with np.errstate(all="ignore"):
         # numpy's complex log1p loses the small real part; do it by hand.
         q = 2.0 * z.real + (z * z.conj()).real
         log_abs = np.where(np.abs(q) < 0.5, 0.5 * np.log1p(q),
@@ -317,19 +327,18 @@ def _aliased_coefficients(stencil: Stencil, n: int, size: int, alpha: float,
         # sites from s.
         travel = n * (slope / centred).real
         rel_noise = n * scale / np.abs(centred)
-    phase = n * np.angle(centred) + frac * theta
-    with np.errstate(under="ignore"):
+        phase = n * np.angle(centred) + frac * theta
         powered = np.exp(n * log_abs + 1j * phase)
-    mags = np.abs(powered)
-    # Each sample carries a relative error of about eps times the rounding
-    # of n*log(1 + z), the size of its phase and the transform depth; the
-    # floor is their worst-case sum over the grid.
-    noise = mags * (np.nan_to_num(rel_noise) + np.abs(phase)
-                    + math.log2(size))
-    floor = _EPS * _grid_sum(noise, half) / size
-    far = mags * (np.abs(travel) > size // 2 - size // _GUARD)
-    far_mass = _grid_sum(far, half) / size
-    coeffs = np.fft.irfft(powered, size) if half else np.fft.ifft(powered)
+        mags = np.abs(powered)
+        # Each sample carries a relative error of about eps times the
+        # rounding of n*log(1 + z), the size of its phase and the transform
+        # depth; the floor is their worst-case sum over the grid.
+        noise = mags * (np.nan_to_num(rel_noise) + np.abs(phase)
+                        + math.log2(size))
+        floor = _EPS * _grid_sum(noise, half) / size
+        far = mags * (np.abs(travel) > size // 2 - size // _GUARD)
+        far_mass = _grid_sum(far, half) / size
+        coeffs = np.fft.irfft(powered, size) if half else np.fft.ifft(powered)
     return coeffs, floor, far_mass
 
 
@@ -353,7 +362,9 @@ def _spectral_window(stencil: Stencil, n: int,
     lo, hi = n * stencil.min_offset, n * stencil.max_offset
     if width == 0:
         # Pure shift: G^n is a single coefficient at n * min_offset.
-        return GreenTable(n=n, min_offset=lo, values=stencil.as_array() ** n,
+        with np.errstate(over="ignore"):
+            values = stencil.as_array() ** n
+        return GreenTable(n=n, min_offset=lo, values=values,
                           method="spectral"), 0
     full = _spectral_size(n, width)
     alpha, size = _window_plan(stencil, n)
@@ -402,44 +413,102 @@ def green_spectral(stencil: Stencil, n: int,
                       method="spectral")
 
 
-def spectral_sweep(stencil: Stencil, n_max: int,
-                   memory_budget_mb: float | None = None):
-    """Norms of G^n for every n = 1..n_max off one cached symbol grid.
+def _sweep_entries(block: int, samples: int, size: int, n_max: int) -> int:
+    """Complex128 entries a sweep holds at its peak.
 
-    Returns (sums, l1, l2, linf) arrays of length n_max (index n-1).  The
-    symbol powers are accumulated incrementally on a grid sized for n_max, so
-    every intermediate table is still alias-free.  Used for dense conservation
-    and contraction sweeps where one transform per n would be wasteful.
+    Per row of a block: the power table, the powered rows of this block
+    and the last one, and the coefficients and magnitudes of this block and
+    the last one (real arrays of `size`, complex for complex stencils, the
+    transform's scratch included).  Plus the symbol with its temporaries and
+    the four outputs.  It also exceeds the twelve arrays of samples of the
+    planning transform in _spectral_window, so it bounds the traced peak of
+    the whole call.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    width = stencil.support_width
-    if width == 0:
-        sums = np.asarray(
-            [stencil.coefficients[0] ** n for n in range(1, n_max + 1)])
-        mags = np.abs(sums)
-        return sums, mags, mags.copy(), mags.copy()
-    size = _spectral_size(n_max, width)
-    _check_budget(4 * size, memory_budget_mb)
-    theta = 2.0 * math.pi * np.arange(size) / size
-    symbol = symbol_eval(stencil, theta)
-    powered = np.ones(size, dtype=complex)
+    return block * (3 * samples + 3 * size // 2) + 8 * samples + 3 * n_max
+
+
+def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float,
+                 memory_budget_mb: float | None):
+    """Norms of G^1..G^n_max on `size` points; None if a guard band fails."""
+    half = not any(c.imag for c in stencil.coefficients)
+    samples = size // 2 + 1 if half else size
+    block = min(_SWEEP_BLOCK, n_max)
+    _check_budget(_sweep_entries(block, samples, size, n_max),
+                  memory_budget_mb)
+    # Samples F(-2 pi k / size), so the inverse transform puts G_j at j.
+    symbol = symbol_eval(stencil, (-2.0 * math.pi / size) * np.arange(samples))
+    table = np.cumprod(np.broadcast_to(symbol, (block, samples)), axis=0)
     sums = np.empty(n_max, dtype=complex)
     l1 = np.empty(n_max)
     l2 = np.empty(n_max)
     linf = np.empty(n_max)
-    with np.errstate(under="ignore"):
-        for n in range(1, n_max + 1):
-            powered *= symbol
-            coeffs = np.fft.fft(powered) / size
-            window = coeffs[(np.arange(n * stencil.min_offset,
-                                       n * stencil.max_offset + 1) % size)]
-            mags = np.abs(window)
-            sums[n - 1] = window.sum()
-            l1[n - 1] = mags.sum()
-            l2[n - 1] = math.sqrt(float((mags * mags).sum()))
-            linf[n - 1] = mags.max()
+    # Supports of n * width + 1 sites up to `size` cannot alias.  Past that,
+    # coefficient s_n + m mod size holds the mass m sites from the drift
+    # s_n, and the guard band around m = size/2 must be at the rounding floor.
+    checked = (size - 1) // stencil.support_width + 1
+    band = np.arange(size // 2 - size // _GUARD, size // 2 + size // _GUARD)
+    last = np.ones(samples, dtype=complex)
+    with np.errstate(all="ignore"):
+        for lo in range(0, n_max, block):
+            rows = table[:min(block, n_max - lo)] * last
+            last = rows[-1]
+            hi = lo + len(rows)                 # rows hold G^(lo+1)..G^hi
+            coeffs = (np.fft.irfft(rows, size, axis=1) if half
+                      else np.fft.ifft(rows, axis=1))
+            mags = np.abs(coeffs)
+            sums[lo:hi] = coeffs.sum(axis=1)
+            l1[lo:hi] = mags.sum(axis=1)
+            l2[lo:hi] = np.sqrt(np.einsum("ij,ij->i", mags, mags))
+            linf[lo:hi] = mags.max(axis=1)
+            steps = range(max(lo + 1, checked), hi + 1)
+            if not steps:
+                continue
+            tail = slice(len(rows) - len(steps), None)
+            shifts = np.array([_drift(alpha, n)[0] for n in steps])
+            edges = np.take_along_axis(
+                mags[tail], (shifts[:, None] + band) % size, axis=1)
+            # Incremental powers carry about n * eps relative error each.
+            floor = (_EPS * (np.asarray(steps) + math.log2(size))
+                     * _grid_sum(np.abs(rows[tail]), half) / size)
+            if np.any(edges.max(axis=1) > floor):
+                return None
+    if not np.isfinite(l1).all():
+        raise ValueError(f"G^{n_max} overflows: the sweep has non-finite "
+                         "norms")
     return sums, l1, l2, linf
+
+
+def spectral_sweep(stencil: Stencil, n_max: int,
+                   memory_budget_mb: float | None = None):
+    """Norms of G^n for every n = 1..n_max off one windowed symbol grid.
+
+    Returns (sums, l1, l2, linf) arrays of length n_max (index n-1).  The
+    transform length M is the one _spectral_window settles on for n_max:
+    the window that holds the mass of G^n_max, which also holds that of
+    every smaller n, or the alias-free length for complex, non-conservative
+    and degenerate stencils.  F^1..F^b are sampled once (M/2 + 1 samples
+    for real stencils); each block of b consecutive n is that table times
+    the last power of the previous block, inverted by one batched
+    transform, and the norms are row reductions over all M coefficients.
+    Every n whose support exceeds M must show its guard band at the
+    rounding floor, else M doubles and the sweep reruns.  The memory budget
+    is checked before every run against the arrays of one block plus the
+    outputs (_sweep_entries).
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if stencil.support_width == 0:
+        sums = np.asarray(
+            [stencil.coefficients[0] ** n for n in range(1, n_max + 1)])
+        mags = np.abs(sums)
+        return sums, mags, mags.copy(), mags.copy()
+    _, size = _spectral_window(stencil, n_max, memory_budget_mb)
+    alpha = _window_plan(stencil, n_max)[0]
+    while True:
+        result = _sweep_norms(stencil, n_max, size, alpha, memory_budget_mb)
+        if result is not None:
+            return result
+        size *= 2
 
 
 def evolve(stencil: Stencil, u0: GridFunction, n: int) -> GridFunction:

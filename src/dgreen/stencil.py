@@ -160,11 +160,16 @@ def beam_warming(lam: float) -> Stencil:
 
 
 def symbol_eval(stencil: Stencil, theta):
-    """Evaluate F_a(theta) = sum_l a_l exp(i l theta); theta scalar or array."""
+    """Evaluate F_a(theta) = sum_l a_l exp(i l theta); theta scalar or array.
+
+    Zero coefficients inside the support are skipped, so a sparse wide
+    stencil costs one exponential per nonzero coefficient.
+    """
     th = np.asarray(theta, dtype=float)
     out = np.zeros(th.shape, dtype=complex)
     for offset, coeff in zip(stencil.offsets, stencil.coefficients):
-        out += coeff * np.exp(1j * offset * th)
+        if coeff:
+            out += coeff * np.exp(1j * offset * th)
     if np.isscalar(theta) or th.ndim == 0:
         return complex(out)
     return out

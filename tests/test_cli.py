@@ -6,6 +6,8 @@ import json
 import os
 import stat
 import tempfile
+import time
+import warnings
 from unittest import mock
 
 import pytest
@@ -21,11 +23,13 @@ from dgreen.cli import (
     EXIT_OK,
     RunConfig,
     _atomic_write,
+    _fmt,
     build_parser,
     config_from_args,
     main,
     make_stencil,
 )
+from dgreen.green import evolve, sample_step
 
 
 def run(*argv):
@@ -118,6 +122,38 @@ class TestExitCodes:
         assert run("coeffs", "--scheme", "custom",
                    "--custom", "0:nan:0") == EXIT_CONFIG
         assert "finite" in capsys.readouterr().err
+
+    def test_custom_needs_custom_scheme(self, capsys):
+        assert run("coeffs", "--custom", "0:0.5:0,1:0.5:0") == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --custom conflicts with a named scheme\n")
+
+    @pytest.mark.parametrize("custom,n,method", [
+        ("0:1e10:0,1:1:0", 100, "spectral"),
+        ("0:1e10:0,1:1:0", 100, "direct"),
+        ("0:2:0", 2000, "spectral"),
+        ("0:2:0", 2000, "direct"),
+    ])
+    def test_overflow_refused_without_warnings(self, tmp_path, capsys,
+                                               custom, n, method):
+        out = tmp_path / "g.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("green", "--scheme", "custom", "--custom", custom,
+                       "--n", str(n), "--method", method, "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: G^{n} overflows: the table has non-finite values"]
+        assert not out.exists()
+
+    def test_sparse_wide_custom_is_quick(self, tmp_path):
+        # Two nonzero coefficients 400000 sites apart: the audit samples
+        # the symbol once per nonzero coefficient, not once per offset.
+        start = time.perf_counter()
+        assert run("coeffs", "--scheme", "custom",
+                   "--custom", "0:0.5:0,400000:0.5:0",
+                   "--out", str(tmp_path / "c.txt")) == EXIT_OK
+        assert time.perf_counter() - start < 10.0
 
     def test_strict_growth_failure(self, tmp_path):
         out = tmp_path / "up.json"
@@ -231,6 +267,28 @@ class TestEvolve:
     def test_negative_t(self):
         assert run("evolve", "--scheme", "lw", "--lambda", "0.75",
                    "--dx", "0.1", "--t", "-1") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("scheme", [
+        ("--scheme", "lw", "--lambda", "0.75"),
+        ("--scheme", "bw", "--lambda", "1.5"),
+        # G^n's window leaves the step data's window: u0 reads its tails.
+        ("--scheme", "custom", "--custom", "3:0.5:0,4:0.5:0",
+         "--lambda", "0.5"),
+    ])
+    def test_rows_match_per_row_formatting(self, tmp_path, scheme):
+        out = tmp_path / "ev.csv"
+        assert run("evolve", *scheme, "--dx", "0.05", "--t", "1.0",
+                   "--out", str(out)) == EXIT_OK
+        lines = out.read_text().splitlines()
+        n = int(lines[0].rsplit("n=", 1)[1])
+        cfg = config_from_args(build_parser().parse_args(
+            ["evolve", *scheme, "--dx", "0.05", "--t", "1.0"]))
+        u0 = sample_step(0.05, 0.5, -11, 11)
+        un = evolve(make_stencil(cfg), u0, n)
+        rows = [f"{_fmt((j + 0.5) * 0.05)},{_fmt(u0.value_at(j).real)},"
+                f"{_fmt(un.values[k].real)}"
+                for k, j in enumerate(range(un.min_index, un.max_index + 1))]
+        assert lines[2:] == rows
 
     @pytest.mark.parametrize("args", [
         ("--dx", "0.1", "--t", "inf"),

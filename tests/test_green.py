@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -26,6 +29,7 @@ from dgreen.stencil import (
     assumption_audit,
     beam_warming,
     lax_wendroff,
+    symbol_eval,
 )
 
 
@@ -357,6 +361,143 @@ class TestSweep:
         assert np.max(np.abs(sums - 1.0)) <= 1e-11
         assert np.all(np.diff(l2) <= 1e-12)
         assert l2[0] <= 1.0 + 1e-12
+
+
+def alias_free_sweep(stencil, n_max):
+    """Reference sweep: one full FFT per n on the alias-free grid of n_max,
+    norms over the support of each G^n."""
+    size = _spectral_size(n_max, stencil.support_width)
+    theta = 2.0 * np.pi * np.arange(size) / size
+    symbol = symbol_eval(stencil, theta)
+    powered = np.ones(size, dtype=complex)
+    sums = np.empty(n_max, dtype=complex)
+    l1, l2, linf = np.empty(n_max), np.empty(n_max), np.empty(n_max)
+    with np.errstate(under="ignore"):
+        for n in range(1, n_max + 1):
+            powered *= symbol
+            coeffs = np.fft.fft(powered) / size
+            window = coeffs[np.arange(n * stencil.min_offset,
+                                      n * stencil.max_offset + 1) % size]
+            mags = np.abs(window)
+            sums[n - 1] = window.sum()
+            l1[n - 1] = mags.sum()
+            l2[n - 1] = np.sqrt((mags * mags).sum())
+            linf[n - 1] = mags.max()
+    return sums, l1, l2, linf
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_references(stencil, n_max):
+    """The alias-free reference sweep and l1 of every direct table."""
+    direct_l1 = np.array([np.abs(g.values).sum() for g in
+                          green._direct_tables(stencil, range(1, n_max + 1))])
+    return alias_free_sweep(stencil, n_max), direct_l1
+
+
+LW5 = Stencil(-2, tuple(np.convolve(lax_wendroff(0.75).as_array().real,
+                                    lax_wendroff(0.5).as_array().real)))
+SWEEP_N = 2000
+SWEEP_CASES = [
+    lax_wendroff(0.75),                  # c3 > 0
+    lax_wendroff(0.75).reflected(),      # c3 < 0
+    beam_warming(0.5),                   # c3 < 0
+    beam_warming(1.5),                   # c3 > 0
+    LW5,                                 # 5 points, LW(3/4) * LW(1/2)
+    COMPLEX,                             # alias-free length
+    Stencil(-1, (0.1, 0.7, 0.1)),        # not conservative: alias-free
+]
+
+
+def assert_sweep_close(stencil, n_max, result):
+    (sums, _, l2, linf), direct_l1 = sweep_references(stencil, n_max)
+    assert np.max(np.abs(result[0] - sums)) <= 1e-12
+    assert np.max(np.abs(result[2] - l2)) <= 1e-13
+    assert np.max(np.abs(result[3] - linf)) <= 1e-13
+    # l1 sums a rounding floor over every entry, the reference's over the
+    # alias-free support (BW 3/2: 6.1e-12 from an 80-bit table at n = 2000,
+    # the windowed sweep 1.1e-12), so l1 is held to the exact direct tables.
+    tol = 1e-15 * (n_max * stencil.support_width + 1)
+    assert np.max(np.abs(result[1] - direct_l1)) <= tol
+
+
+class TestWindowedSweep:
+    @pytest.mark.parametrize("stencil", SWEEP_CASES)
+    def test_matches_alias_free_reference(self, stencil):
+        assert_sweep_close(stencil, SWEEP_N, spectral_sweep(stencil, SWEEP_N))
+
+    def test_window_is_shorter_than_alias_free(self):
+        s = lax_wendroff(0.75)
+        assert _spectral_window(s, SWEEP_N)[1] < _spectral_size(
+            SWEEP_N, s.support_width)
+
+    @pytest.mark.parametrize("stencil", [lax_wendroff(0.75), LW5])
+    def test_guard_checked_for_every_aliasing_n(self, stencil, monkeypatch):
+        seen = []
+        drift = green._drift
+
+        def spy(alpha, n):
+            seen.append(n)
+            return drift(alpha, n)
+
+        monkeypatch.setattr(green, "_drift", spy)
+        size = _spectral_window(stencil, SWEEP_N)[1]
+        seen.clear()
+        spectral_sweep(stencil, SWEEP_N)
+        aliasing = [n for n in range(1, SWEEP_N + 1)
+                    if n * stencil.support_width + 1 > size]
+        assert aliasing and seen == [SWEEP_N] + aliasing
+
+    def test_short_a_priori_window_doubles(self, monkeypatch):
+        s = beam_warming(1.5)
+        plan = green._window_plan
+        monkeypatch.setattr(green, "_window_plan",
+                            lambda stencil, n: (plan(stencil, n)[0], 16))
+        assert_sweep_close(s, SWEEP_N, spectral_sweep(s, SWEEP_N))
+
+    def test_failed_guard_band_doubles(self, monkeypatch):
+        # A transform length too short for n_max: the sweep's own guard
+        # check must fail, double and rerun.
+        s = lax_wendroff(0.75)
+        window = green._spectral_window
+        monkeypatch.setattr(green, "_spectral_window", lambda *a, **k: (
+            None, window(*a, **k)[1] // 8))
+        sizes = []
+        sample = green.symbol_eval
+
+        def spy(stencil, theta):      # one symbol grid per sweep attempt
+            sizes.append(len(theta))
+            return sample(stencil, theta)
+
+        monkeypatch.setattr(green, "symbol_eval", spy)
+        assert_sweep_close(s, SWEEP_N, spectral_sweep(s, SWEEP_N))
+        assert len(sizes) > 1 and sizes == sorted(sizes)
+
+    def test_budget(self):
+        s = lax_wendroff(0.75)
+        size = _spectral_window(s, SWEEP_N)[1]
+        with pytest.raises(MemoryBudgetError):
+            spectral_sweep(s, SWEEP_N, memory_budget_mb=1e-3)
+        # Room for the planning transform, not for the sweep's blocks.
+        planning = 16 * 12 * (size // 2 + 1) / 1e6
+        with pytest.raises(MemoryBudgetError):
+            spectral_sweep(s, SWEEP_N, memory_budget_mb=1.5 * planning)
+
+    @pytest.mark.parametrize("stencil", [
+        lax_wendroff(0.75), beam_warming(1.5), LW5, COMPLEX,
+        Stencil(-1, (0.1, 0.7, 0.1))])
+    def test_traced_peak_within_model(self, stencil):
+        size = _spectral_window(stencil, SWEEP_N)[1]
+        real = not any(c.imag for c in stencil.coefficients)
+        samples = size // 2 + 1 if real else size
+        block = min(green._SWEEP_BLOCK, SWEEP_N)
+        modelled = 16 * green._sweep_entries(block, samples, size, SWEEP_N)
+        tracemalloc.start()
+        try:
+            spectral_sweep(stencil, SWEEP_N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= modelled
 
 
 class TestStepData:

@@ -122,6 +122,20 @@ class TestSymbol:
     def test_modulus_identity_bw(self, lam):
         assert modulus_identity_check("bw", lam) <= 1e-12
 
+    @pytest.mark.parametrize("stencil", [
+        lax_wendroff(0.75), beam_warming(1.5),
+        Stencil(-2, (0.01171875, -0.125, 0.2109375, 0.65625, 0.24609375)),
+        Stencil(-1, (0.25 - 0.05j, 0.5 + 0.1j, 0.25 - 0.05j)),
+        Stencil(0, (0.25, 0.0, 0.5, 0.0, 0.25)),
+    ])
+    def test_values_of_the_dense_sum(self, stencil):
+        # Skipping zero coefficients changes no bit of the dense sum.
+        theta = np.linspace(-math.pi, math.pi, 4097)
+        dense = np.zeros(theta.shape, dtype=complex)
+        for offset, coeff in zip(stencil.offsets, stencil.coefficients):
+            dense += coeff * np.exp(1j * offset * theta)
+        assert np.array_equal(symbol_eval(stencil, theta), dense)
+
     def test_modulus_identity_rejects_kind(self):
         with pytest.raises(ValueError):
             modulus_identity_check("other", 0.5)
