@@ -176,9 +176,21 @@ def _ai_asymp_pos(x: np.ndarray, terms: int = 25) -> np.ndarray:
         return np.exp(-zeta) / (2.0 * _SQRT_PI * x ** 0.25) * acc
 
 
+def _ai_neg_zeta(t: np.ndarray) -> np.ndarray:
+    # zeta = (2/3) t^{3/2}, t = -x; Ai's phase on x < 0 is zeta - pi/4.
+    return (2.0 / 3.0) * t ** 1.5
+
+
+# Of the asymptotic sums below, `odd` stays within 0.0064 of 0 and `even`
+# within 0.0004 of 1 on x <= -6.5 (zeta >= 11.04), so wherever |cos(phase)|
+# exceeds this margin, cos(phase) * even outweighs sin(phase) * odd and
+# carries the sign of Ai (TestAiryAi.test_sign_margin).
+_AI_SIGN_MARGIN = 0.05
+
+
 def _ai_asymp_neg(x: np.ndarray, terms: int = 22) -> np.ndarray:
     t = -x
-    zeta = (2.0 / 3.0) * t ** 1.5
+    zeta = _ai_neg_zeta(t)
     even = np.ones_like(t)
     odd = np.zeros_like(t)
     term = np.ones_like(t)
@@ -191,6 +203,13 @@ def _ai_asymp_neg(x: np.ndarray, terms: int = 22) -> np.ndarray:
             odd += contrib
     phase = zeta - 0.25 * math.pi
     return (np.cos(phase) * even + np.sin(phase) * odd) / (_SQRT_PI * t ** 0.25)
+
+
+def _ai_asymp_neg_sign(x: np.ndarray) -> np.ndarray:
+    """The sign of _ai_asymp_neg(x), +1 or -1, from the phase alone; 0 where
+    |cos(phase)| is within _AI_SIGN_MARGIN of 0 and the sums decide it."""
+    cos = np.cos(_ai_neg_zeta(-x) - 0.25 * math.pi)
+    return np.where(np.abs(cos) > _AI_SIGN_MARGIN, np.sign(cos), 0.0)
 
 
 def airy_ai(x):
@@ -290,9 +309,15 @@ def approx_G(params: ApproxParams, n: int, j):
         gauss = np.exp(-params.beta0 * d[nz] ** 2 / n)
         osc = np.cos(params.beta1 * adn ** 1.5 / math.sqrt(n) - 0.25 * math.pi)
         # integral_{-B}^{B} e^{-A u^2} du = sqrt(pi/A) erf(sqrt(A) B),
-        # A = sqrt(3 c3 n |d|), B = sqrt(2 |d| / (3 c3 n)).
-        window = (_SQRT_PI / (c3n * adn) ** 0.25
-                  * erf(math.sqrt(2.0) * adn ** 0.75 / c3n ** 0.25))
+        # A = sqrt(3 c3 n |d|), B = sqrt(2 |d| / (3 c3 n)).  The window is
+        # finite and positive, so where gauss underflows to 0 the product
+        # is the signed zero gauss * osc, and window = 1 gives that same
+        # zero.  It is evaluated only where gauss > 0, O(sqrt(n)) points.
+        window = np.ones_like(adn)
+        live = gauss > 0.0
+        adn = adn[live]
+        window[live] = (_SQRT_PI / (c3n * adn) ** 0.25
+                        * erf(math.sqrt(2.0) * adn ** 0.75 / c3n ** 0.25))
         out[nz] = gauss * osc * window / math.pi
     return float(out[0]) if scalar else out
 
@@ -310,10 +335,18 @@ def approx_H(params: ApproxParams, n: int, j):
                          "no front profile is defined for c3 < 0")
     z = (3.0 * params.c3_abs * n) ** (1.0 / 3.0)
     with np.errstate(under="ignore"):
-        vals = airy_ai(d / z) / z
-        behind = d < 0.0
-        if behind.any():
-            vals[behind] *= np.exp(-params.beta0 * d[behind] ** 2 / n)
+        x = d / z
+        # exp(-beta0 d^2 / n) behind the front; exp(-0.0) = 1 ahead of it.
+        damping = np.exp(-params.beta0 * np.minimum(d, 0.0) ** 2 / n)
+        # Where the damping underflows, H is the zero Ai(x) / z * 0, signed
+        # like Ai(x).  Far behind the front that sign comes from the phase,
+        # so the series run only where the sign is close to a zero of Ai.
+        dead = (damping == 0.0) & (x <= _MACLAURIN_LO)
+        sign = np.zeros_like(x)
+        sign[dead] = _ai_asymp_neg_sign(x[dead])
+        vals = np.copysign(0.0, sign)
+        rest = sign == 0.0
+        vals[rest] = airy_ai(x[rest]) / z * damping[rest]
     return float(vals[0]) if scalar else vals
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -152,6 +153,22 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _cells(values, spec: str = ".17g") -> list:
+    """format(x, spec) of every float of a 1-d array, as a list of str.
+
+    Only the nonzero cells are formatted: the exact zeros outside a
+    table's window, most cells of a large table, share one string for 0.0
+    and one for -0.0.
+    """
+    values = np.asarray(values, dtype=float)
+    zeros = np.array([format(0.0, spec), format(-0.0, spec)], dtype=object)
+    cells = zeros[np.signbit(values).astype(np.intp)]
+    nonzero = values != 0.0
+    cells[nonzero] = list(map(format, values[nonzero].tolist(),
+                              itertools.repeat(spec)))
+    return cells.tolist()
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory, name = os.path.split(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp",
@@ -187,18 +204,73 @@ def _scheme_meta(cfg: RunConfig) -> str:
     return f"scheme={cfg.scheme} lambda={cfg.lam!r}"
 
 
+def _framing(brackets: str, level: int) -> tuple:
+    """(start, separator, end) of a container in json.dumps(indent=2)'s
+    layout whose brackets are `level` deep."""
+    pad = "\n" + "  " * level
+    return brackets[0] + pad + "  ", "," + pad + "  ", pad + brackets[1]
+
+
+def _framed(items, brackets: str, level: int) -> str:
+    start, separator, end = _framing(brackets, level)
+    return start + separator.join(items) + end
+
+
+def _json_items(values: np.ndarray, level: int):
+    """json's own text of each element of a 1-d array `level` deep, or None.
+
+    json prints an int with int.__repr__ and a float with float.__repr__,
+    which is format(x, ""); a record is a row of its fields.  None for
+    other dtypes and for floats holding NaN or an infinity.
+    """
+    if values.dtype.names:
+        columns = [_json_items(values[name], level + 1)
+                   for name in values.dtype.names]
+        if None in columns:
+            return None
+        start, separator, end = _framing("[]", level + 1)
+        return [start + separator.join(row) + end for row in zip(*columns)]
+    if values.dtype.kind in "iu":
+        return list(map(repr, values.tolist()))
+    if values.dtype.kind == "f" and np.isfinite(values).all():
+        return _cells(values, "")
+    return None
+
+
+def _json(value, level: int = 0) -> str:
+    """json.dumps(value, indent=2, allow_nan=False), nested `level` deep.
+
+    Dicts with string keys are framed here so that the 1-d numpy arrays in
+    them are written in bulk by _json_items.  Everything else, an array
+    holding a NaN or an infinity included, is json's own, which refuses
+    non-finite floats with ValueError.
+    """
+    if isinstance(value, dict) and value:
+        return _framed([f"{json.dumps(key)}: {_json(item, level + 1)}"
+                        for key, item in value.items()], "{}", level)
+    if isinstance(value, np.ndarray):
+        if value.ndim == 1 and len(value):
+            items = _json_items(value, level)
+            if items is not None:
+                return _framed(items, "[]", level)
+        value = value.tolist()
+    return json.dumps(value, indent=2, allow_nan=False).replace(
+        "\n", "\n" + "  " * level)
+
+
 def _emit_json(cfg: RunConfig, s: Stencil, fields: dict,
                accepted: bool = True) -> int:
     """Write the command's JSON report; under --strict exit 5 unless accepted.
 
     NaN and infinities are refused (ValueError) before anything is written.
     """
+    coefficients = s.as_array()
     stencil = {"label": s.label,
-               "coefficients": [[int(o), float(c.real), float(c.imag)]
-                                for o, c in zip(s.offsets, s.coefficients)]}
+               "coefficients": np.rec.fromarrays(
+                   [s.offsets, coefficients.real, coefficients.imag])}
     report = {"schema_version": SCHEMA_VERSION, "command": cfg.command,
               "stencil": stencil, **fields}
-    _emit(cfg, json.dumps(report, indent=2, allow_nan=False) + "\n")
+    _emit(cfg, _json(report) + "\n")
     return EXIT_ACCEPTANCE if cfg.strict and not accepted else EXIT_OK
 
 
@@ -212,10 +284,12 @@ def cmd_coeffs(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
             "min_margin": audit.min_margin,
             "admissible": audit.admissible,
         })
+    coefficients = s.as_array()
+    imaginary = [f" {cell}i" if im else "" for im, cell in zip(
+        coefficients.imag.tolist(), _cells(coefficients.imag))]
     lines = [f"stencil       {s.label or 'custom'}"]
-    for offset, c in zip(s.offsets, s.coefficients):
-        lines.append(f"a[{offset:+d}]        {_fmt(c.real)}"
-                     + (f" {_fmt(c.imag)}i" if c.imag else ""))
+    lines.extend(f"a[{offset:+d}]        {re}{im}" for offset, re, im in zip(
+        s.offsets.tolist(), _cells(coefficients.real), imaginary))
     lines += [
         f"alpha         {_fmt(e.alpha)}",
         f"kappa2        {_fmt(e.kappa2)}",
@@ -245,26 +319,26 @@ def cmd_green(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
         g_col = approx_G(params, cfg.n, offsets)
         if params.c3_sign > 0:
             h_col = approx_H(params, cfg.n, offsets)
+    mags = np.abs(values)
     if cfg.output_format == "json":
         return _emit_json(cfg, s, {
             "n": cfg.n,
             "method": table.method,
-            "j": [int(j) for j in offsets],
-            "re": [float(v.real) for v in values],
-            "im": [float(v.imag) for v in values],
-            "abs": [float(a) for a in np.abs(values)],
-            "approx_G": None if g_col is None else [float(v) for v in g_col],
-            "approx_H": None if h_col is None else [float(v) for v in h_col],
+            "j": offsets,
+            "re": values.real,
+            "im": values.imag,
+            "abs": mags,
+            "approx_G": g_col,
+            "approx_H": h_col,
         })
+    columns = [map(str, offsets.tolist()), _cells(values.real),
+               _cells(values.imag), _cells(mags)]
+    columns += [itertools.repeat("") if col is None else _cells(col)
+                for col in (g_col, h_col)]
     lines = [f"# dgreen green {_scheme_meta(cfg)} n={cfg.n} "
              f"method={table.method}",
              "j,re,im,abs,approx_G,approx_H"]
-    mags = np.abs(values)
-    for k, j in enumerate(offsets):
-        g_s = _fmt(g_col[k]) if g_col is not None else ""
-        h_s = _fmt(h_col[k]) if h_col is not None else ""
-        lines.append(f"{int(j)},{_fmt(values[k].real)},"
-                     f"{_fmt(values[k].imag)},{_fmt(mags[k])},{g_s},{h_s}")
+    lines.extend(map(",".join, zip(*columns)))
     _emit(cfg, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -498,9 +498,16 @@ def spectral_sweep(stencil: Stencil, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if stencil.support_width == 0:
-        sums = np.asarray(
-            [stencil.coefficients[0] ** n for n in range(1, n_max + 1)])
-        mags = np.abs(sums)
+        try:
+            sums = np.asarray(
+                [stencil.coefficients[0] ** n for n in range(1, n_max + 1)])
+            with np.errstate(over="ignore"):
+                mags = np.abs(sums)
+        except OverflowError:   # Python's complex power raises, not inf
+            mags = np.asarray([math.inf])
+        if not np.isfinite(mags).all():
+            raise ValueError(f"G^{n_max} overflows: the sweep has non-finite "
+                             "norms")
         return sums, mags, mags.copy(), mags.copy()
     _, size = _spectral_window(stencil, n_max, memory_budget_mb)
     alpha = _window_plan(stencil, n_max)[0]

@@ -257,8 +257,11 @@ def _expansion(stencil: Stencil, normalization: complex = 1.0,
     symbol is never evaluated.  Raises ValueError when the power sums or
     the cumulants overflow.
     """
-    pairs = list(zip(range(stencil.min_offset, stencil.max_offset + 1),
-                     stencil.coefficients))
+    # Zero coefficients add only zeros to the exact sums, and fsum([]) is
+    # 0.0, so skipping them changes no bit.
+    pairs = [(l, c) for l, c in zip(
+        range(stencil.min_offset, stencil.max_offset + 1),
+        stencil.coefficients) if c]
     try:
         m = [complex(math.fsum(l ** k * c.real for l, c in pairs),
                      math.fsum(l ** k * c.imag for l, c in pairs))

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
+from dgreen import approx
 from dgreen.approx import (
     ApproxParams,
     airy_ai,
@@ -91,6 +93,37 @@ def quad_G(params, n, j):
     return gauss * osc * integral / math.pi
 
 
+def approx_G_everywhere(params, n, j):
+    """approx_G with its erf window evaluated at every point, also where
+    the Gaussian factor underflows: the reference for approx_G's bits."""
+    d, scalar = approx._front_distance(params, n, j)
+    ad = np.abs(d)
+    c3n = 3.0 * params.c3_abs * n
+    out = np.zeros_like(ad)
+    nz = ad > 0.0
+    adn = ad[nz]
+    with np.errstate(under="ignore"):
+        gauss = np.exp(-params.beta0 * d[nz] ** 2 / n)
+        osc = np.cos(params.beta1 * adn ** 1.5 / math.sqrt(n) - 0.25 * math.pi)
+        window = (math.sqrt(math.pi) / (c3n * adn) ** 0.25
+                  * erf(math.sqrt(2.0) * adn ** 0.75 / c3n ** 0.25))
+        out[nz] = gauss * osc * window / math.pi
+    return float(out[0]) if scalar else out
+
+
+def approx_H_everywhere(params, n, j):
+    """approx_H with Ai evaluated at every point, also where the damping
+    underflows: the reference for approx_H's bits."""
+    d, scalar = approx._front_distance(params, n, j)
+    z = (3.0 * params.c3_abs * n) ** (1.0 / 3.0)
+    with np.errstate(under="ignore"):
+        vals = airy_ai(d / z) / z
+        behind = d < 0.0
+        if behind.any():
+            vals[behind] *= np.exp(-params.beta0 * d[behind] ** 2 / n)
+    return float(vals[0]) if scalar else vals
+
+
 class TestErf:
     @pytest.mark.parametrize("x,ref", sorted(ERF_REFS.items()))
     def test_frozen_references(self, x, ref):
@@ -152,6 +185,31 @@ class TestAiryAi:
         h = 1e-3
         second = (airy_ai(x - h) - 2.0 * airy_ai(x) + airy_ai(x + h)) / h ** 2
         assert abs(second - x * airy_ai(x)) <= 1e-6
+
+    def test_sign_margin(self):
+        # The asymptotic sums of _ai_asymp_neg at its smallest zeta: odd and
+        # even - 1 are bounded by the sums of their term magnitudes, which
+        # fall with zeta.
+        zeta = (2.0 / 3.0) * (-approx._MACLAURIN_LO) ** 1.5
+        term, odd, even = 1.0, 0.0, 0.0
+        for m in range(1, 22):
+            term *= approx._u_ratio(m) / zeta
+            odd, even = (odd + term, even) if m % 2 else (odd, even + term)
+        assert odd / (1.0 - even) < approx._AI_SIGN_MARGIN / 4
+
+    def test_sign_from_phase(self):
+        # Dense over the far left, and at the zeros of Ai, where the
+        # margin hands the sign back to the sums.
+        x = np.concatenate([np.linspace(-3000.0, approx._MACLAURIN_LO,
+                                        400001),
+                            special.ai_zeros(2000)[0]])
+        x = x[x <= approx._MACLAURIN_LO]
+        sign = approx._ai_asymp_neg_sign(x)
+        full = approx._ai_asymp_neg(x)
+        decided = sign != 0.0
+        assert np.array_equal(sign[decided], np.sign(full[decided]))
+        assert 0.02 < np.mean(~decided) < 0.05
+        assert not decided[-1000:].any()
 
     def test_positive_decay(self):
         assert airy_ai(5.0) > 0
@@ -234,6 +292,79 @@ class TestApproxG:
         d = np.abs(j - p.alpha * n)
         cap = (2.0 / math.pi) * np.sqrt(2.0 * d / (3.0 * p.c3_abs * n))
         assert np.all(np.abs(approx_G(p, n, j)) <= cap + 1e-15)
+
+
+def _table_offsets(stencil, n):
+    return np.arange(stencil.min_offset * n, stencil.max_offset * n + 1)
+
+
+class TestUnderflowBits:
+    """approx_G and approx_H skip the series where an underflowed factor
+    leaves only a signed zero; their bits equal the everywhere-evaluated
+    references, signed zeros included."""
+
+    STENCILS = [lax_wendroff(0.35), lax_wendroff(0.6), lax_wendroff(0.84),
+                beam_warming(0.5), beam_warming(1.3), beam_warming(1.55)]
+
+    @staticmethod
+    def check(stencil, n, j):
+        p = ApproxParams.from_expansion(expansion_coefficients(stencil))
+        got = approx_G(p, n, j)
+        assert np.asarray(got).tobytes() == np.asarray(
+            approx_G_everywhere(p, n, j)).tobytes()
+        if p.c3_sign > 0:
+            got = approx_H(p, n, j)
+            assert np.asarray(got).tobytes() == np.asarray(
+                approx_H_everywhere(p, n, j)).tobytes()
+        return p
+
+    @pytest.mark.parametrize("n", [1, 7, 500, 100_000])
+    @pytest.mark.parametrize("stencil", STENCILS, ids=lambda s: s.label)
+    def test_tables(self, stencil, n):
+        self.check(stencil, n, _table_offsets(stencil, n))
+
+    def test_large_n(self):
+        stencil = lax_wendroff(0.6)
+        self.check(stencil, 1_000_000, _table_offsets(stencil, 1_000_000))
+
+    def test_scalar_and_front(self):
+        lw = lax_wendroff(0.75)
+        for j in (12, 11, 40.5, -3):   # alpha n = 12 at n = 16
+            self.check(lw, 16, j)
+        assert approx_G(lw34_params(), 16, 12) == 0.0
+        self.check(beam_warming(1.5), 16, -8)    # alpha n = -8: d = 0
+        self.check(lax_wendroff(0.6), 100_000, -90_000)
+
+    def test_no_underflow(self):
+        # n = 7: every point but the front keeps its Gaussian factor.
+        stencil = lax_wendroff(0.6)
+        j = _table_offsets(stencil, 7)
+        p = self.check(stencil, 7, j)
+        assert np.all(approx_G_everywhere(p, 7, j)[j != p.alpha * 7] != 0.0)
+
+    def test_signed_zeros_present(self):
+        # The cases above do exercise both signs of skipped zeros.
+        stencil = lax_wendroff(0.6)
+        j = _table_offsets(stencil, 100_000)
+        p = ApproxParams.from_expansion(expansion_coefficients(stencil))
+        for col in (approx_G(p, 100_000, j), approx_H(p, 100_000, j)):
+            zeros = col == 0.0
+            assert np.signbit(col[zeros]).any()
+            assert not np.signbit(col[zeros]).all()
+
+    def test_traced_peak_approx_G(self):
+        # 2e6 + 1 offsets: the inputs and output plus a handful of
+        # temporaries; evaluating the window everywhere took 14 arrays.
+        stencil = lax_wendroff(0.6)
+        j = _table_offsets(stencil, 1_000_000)
+        p = ApproxParams.from_expansion(expansion_coefficients(stencil))
+        tracemalloc.start()
+        try:
+            approx_G(p, 1_000_000, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * j.nbytes
 
 
 class TestApproxH:

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import io
 import json
+import math
 import os
 import stat
 import tempfile
@@ -10,6 +11,7 @@ import time
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,15 +23,21 @@ from dgreen.cli import (
     EXIT_INADMISSIBLE,
     EXIT_MEMORY,
     EXIT_OK,
+    SCHEMA_VERSION,
     RunConfig,
     _atomic_write,
+    _cells,
     _fmt,
+    _json,
     build_parser,
     config_from_args,
     main,
     make_stencil,
 )
-from dgreen.green import evolve, sample_step
+from dgreen.approx import ApproxParams, approx_G, approx_H
+from dgreen.green import (evolve, green_direct, green_spectral,
+                          sample_step)
+from dgreen.stencil import assumption_audit
 
 
 def run(*argv):
@@ -241,6 +249,152 @@ class TestGreen:
 
     def test_requires_n(self):
         assert run("green", "--scheme", "lw", "--lambda", "0.75") == EXIT_CONFIG
+
+
+def reference_artifact(argv):
+    """The artifact of `coeffs` or `green` as the per-cell loops and
+    json.dumps(indent=2) wrote it, from the same library results."""
+    cfg = config_from_args(build_parser().parse_args(argv))
+    s = make_stencil(cfg)
+    audit = assumption_audit(s)
+    if cfg.command == "coeffs":
+        e = audit.expansion
+        if cfg.output_format != "json":
+            lines = [f"stencil       {s.label or 'custom'}"]
+            for offset, c in zip(s.offsets, s.coefficients):
+                lines.append(f"a[{offset:+d}]        {_fmt(c.real)}"
+                             + (f" {_fmt(c.imag)}i" if c.imag else ""))
+            lines += [
+                f"alpha         {_fmt(e.alpha)}",
+                f"kappa2        {_fmt(e.kappa2)}",
+                f"c3            {_fmt(e.c3)}",
+                f"c4            {_fmt(e.c4)}",
+                f"residual5     {_fmt(e.residual5)}",
+                f"sums_to_one   {str(audit.sums_to_one).lower()}",
+                f"dissipative   {str(audit.dissipative).lower()}"
+                f" (margin {_fmt(audit.min_margin)})",
+                f"admissible    {str(audit.admissible).lower()}",
+            ]
+            return "\n".join(lines) + "\n"
+        fields = {**dataclasses.asdict(e),
+                  "sums_to_one": audit.sums_to_one,
+                  "dissipative": audit.dissipative,
+                  "min_margin": audit.min_margin,
+                  "admissible": audit.admissible}
+    else:
+        table = (green_direct(s, cfg.n) if cfg.method == "direct"
+                 else green_spectral(s, cfg.n))
+        offsets, values = table.offsets, table.values
+        g_col = h_col = None
+        if audit.admissible:
+            params = ApproxParams.from_expansion(audit.expansion)
+            g_col = approx_G(params, cfg.n, offsets)
+            if params.c3_sign > 0:
+                h_col = approx_H(params, cfg.n, offsets)
+        if cfg.output_format != "json":
+            lines = [f"# dgreen green {cli._scheme_meta(cfg)} n={cfg.n} "
+                     f"method={table.method}",
+                     "j,re,im,abs,approx_G,approx_H"]
+            mags = np.abs(values)
+            for k, j in enumerate(offsets):
+                g_s = _fmt(g_col[k]) if g_col is not None else ""
+                h_s = _fmt(h_col[k]) if h_col is not None else ""
+                lines.append(f"{int(j)},{_fmt(values[k].real)},"
+                             f"{_fmt(values[k].imag)},{_fmt(mags[k])},"
+                             f"{g_s},{h_s}")
+            return "\n".join(lines) + "\n"
+        fields = {
+            "n": cfg.n,
+            "method": table.method,
+            "j": [int(j) for j in offsets],
+            "re": [float(v.real) for v in values],
+            "im": [float(v.imag) for v in values],
+            "abs": [float(a) for a in np.abs(values)],
+            "approx_G": None if g_col is None else [float(v) for v in g_col],
+            "approx_H": None if h_col is None else [float(v) for v in h_col],
+        }
+    stencil = {"label": s.label,
+               "coefficients": [[int(o), float(c.real), float(c.imag)]
+                                for o, c in zip(s.offsets, s.coefficients)]}
+    report = {"schema_version": SCHEMA_VERSION, "command": cfg.command,
+              "stencil": stencil, **fields}
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+
+
+_LW = ("--scheme", "lw", "--lambda", "0.75")
+_BW = ("--scheme", "bw", "--lambda", "1.5")
+_COMPLEX = ("--scheme", "custom",
+            "--custom=-1:0.25:0.05,0:0.5:-0.05,1:0.25:0")
+
+
+class TestWriters:
+    """The bulk writers give the bytes of the per-cell reference."""
+
+    @pytest.mark.parametrize("argv", [
+        ("green", *_LW, "--n", "20000"),        # c3 > 0, zeros outside
+        ("green", *_BW, "--n", "20000"),        # the window
+        ("green", "--scheme", "bw", "--lambda", "0.5", "--n", "3000"),
+        ("green", "--scheme", "custom", "--custom", "0:0.25:0,1:0.75:0",
+         "--n", "500"),                         # inadmissible
+        ("green", *_COMPLEX, "--n", "300"),
+        ("green", "--scheme", "custom", "--custom=0:-0.0:1", "--n", "5"),
+        ("green", *_LW, "--n", "300", "--method", "direct"),
+        ("green", *_BW, "--n", "1"),
+        ("coeffs", *_LW),
+        ("coeffs", *_COMPLEX),
+        ("coeffs", "--scheme", "custom",
+         "--custom=-1:0.25:-0.0,0:-0.0:0.5,2000:0.75:-0.5"),
+    ], ids=" ".join)
+    @pytest.mark.parametrize("output_format", ["default", "json"])
+    def test_bytes_match_reference(self, tmp_path, argv, output_format):
+        if output_format == "json":
+            argv = (*argv, "--format", "json")
+        out = tmp_path / "artifact"
+        assert run(*argv, "--out", str(out)) == EXIT_OK
+        assert out.read_bytes() == reference_artifact(argv).encode()
+
+    def test_nonfinite_column_refused(self, tmp_path, capsys, monkeypatch):
+        def nan_tail(params, n, j):
+            col = approx_G(params, n, j)
+            col[-1] = math.nan
+            return col
+
+        monkeypatch.setattr(cli, "approx_G", nan_tail)
+        out = tmp_path / "g.json"
+        assert run("green", *_LW, "--n", "50", "--format", "json",
+                   "--out", str(out)) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: Out of range float values are not JSON compliant: nan\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+# Floats a table can hold: signed zeros, subnormals, the largest finite
+# values, integral values (json prints 3.0, .17g prints 3) and any other.
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, 3.0, -7.0, 1e16,
+                     1e17, 123456789012345678.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(values=st.lists(_FLOATS, max_size=40),
+       ints=st.lists(st.integers(-2 ** 62, 2 ** 62), max_size=5))
+def test_bulk_cells_match_per_cell_formatting(values, ints):
+    a = np.asarray(values, dtype=float)
+    assert _cells(a) == [format(x, ".17g") for x in values]
+    coefficients = np.asarray(values[:len(ints)], dtype=float)
+    report = {"column": a, "ints": np.asarray(ints, dtype=np.int64),
+              "nested": {"rows": np.rec.fromarrays(
+                             [np.asarray(ints[:len(coefficients)]),
+                              coefficients, -coefficients]),
+                         "empty": a[:0], "none": None},
+              "scalar": values[0] if values else 0.5}
+    expected = {"column": values, "ints": ints,
+                "nested": {"rows": [[i, x, -x] for i, x in zip(ints, values)],
+                           "empty": [], "none": None},
+                "scalar": values[0] if values else 0.5}
+    assert _json(report) == json.dumps(expected, indent=2, allow_nan=False)
 
 
 class TestEvolve:

@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +356,22 @@ class TestSweep:
             assert l1[n - 1] == pytest.approx(mags.sum(), abs=1e-13)
             assert linf[n - 1] == pytest.approx(mags.max(), abs=1e-13)
         assert l2.shape == (12,)
+
+    @pytest.mark.parametrize("coefficient,n_max", [
+        (2.0, 2000), (-2.0, 1025), (1.5 + 1.5j, 2000),
+        (1.7e308 + 1.7e308j, 1),   # |a| itself overflows
+    ])
+    def test_pure_shift_overflow_refused(self, coefficient, n_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"G\\^{n_max} overflows"):
+                spectral_sweep(Stencil(0, (coefficient,)), n_max)
+
+    def test_pure_shift_powers(self):
+        sums, l1, l2, linf = spectral_sweep(Stencil(3, (-0.5,)), 4)
+        assert sums.tolist() == [-0.5, 0.25, -0.125, 0.0625]
+        assert l1.tolist() == l2.tolist() == linf.tolist() == [
+            0.5, 0.25, 0.125, 0.0625]
 
     def test_sweep_conservation_and_contraction(self):
         sums, _, l2, _ = spectral_sweep(beam_warming(1.5), 300)
