@@ -45,7 +45,7 @@ __all__ = [
     "FIT_SAFETY",
 ]
 
-# Window for the default decay-rate regression, in units of the self-similar
+# Window for the decay-rate regression, in units of the self-similar
 # variable x.  Inside [1, 8] the measured profiles follow exp(-c * x**(3/2));
 # farther out the local rate steepens (extreme-deviation zone near the support
 # edge), and a fit that includes it overshoots c so badly that the fitted C
@@ -117,9 +117,8 @@ def _minimal_constant(q: np.ndarray, x: np.ndarray, n: int,
     return float(np.exp(np.max(np.log(q[nonzero]) - log_env)))
 
 
-def _fit_rate(q: np.ndarray, x: np.ndarray, window: tuple,
-              safety: float) -> float:
-    lo, hi = window
+def _fit_rate(q: np.ndarray, x: np.ndarray) -> float:
+    lo, hi = FIT_WINDOW
     sel = (x >= lo) & (x <= hi) & (q > 0.0)
     if np.count_nonzero(sel) < _MIN_FIT_POINTS:
         raise ValueError(
@@ -128,19 +127,16 @@ def _fit_rate(q: np.ndarray, x: np.ndarray, window: tuple,
     slope = np.polyfit(x[sel] ** 1.5, -np.log(q[sel]), 1)[0]
     if slope <= 0.0:
         raise ValueError("fitted decay rate is not positive")
-    return float(safety * slope)
+    return float(FIT_SAFETY * slope)
 
 
-def fit_decay_rate(g: GreenTable, e: SymbolExpansion, side: str,
-                   window: tuple = FIT_WINDOW,
-                   safety: float = FIT_SAFETY) -> float:
-    """Default exponential rate c for the envelope on the requested side.
+def fit_decay_rate(g: GreenTable, e: SymbolExpansion, side: str) -> float:
+    """Exponential rate c for the envelope on the requested side.
 
-    side 'fast' regresses -log|G| against x**(3/2) over the window; side
+    side 'fast' regresses -log|G| against x**(3/2) over FIT_WINDOW; side
     'difference' does the same for |G - approx_G|.  The slope is shrunk by
-    the safety factor so the fitted constant C, not the rate, carries the
-    slack.  Run this on the largest n of a study and reuse the rate for
-    smaller n.
+    FIT_SAFETY so the fitted constant C, not the rate, carries the slack.
+    Run this on the largest n of a study and reuse the rate for smaller n.
     """
     _require_admissible_expansion(e)
     x, fast = _sides(g, e)
@@ -150,7 +146,7 @@ def fit_decay_rate(g: GreenTable, e: SymbolExpansion, side: str,
         q, mask = _difference(g, e), ~fast
     else:
         raise ValueError("side must be 'fast' or 'difference'")
-    return _fit_rate(q[mask], x[mask], window, safety)
+    return _fit_rate(q[mask], x[mask])
 
 
 def check_bound1(g: GreenTable, e: SymbolExpansion, c_used: float) -> float:
@@ -205,16 +201,13 @@ def _assemble_bound_report(side: str, c_used: float, pairs) -> BoundReport:
                        sup_C=sup_c, stable=stable)
 
 
-def envelope_reports(stencil: Stencil,
-                     n_values=(250, 500, 1000, 2000),
-                     c_fast: float | None = None,
-                     c_diff: float | None = None):
+def envelope_reports(stencil: Stencil, n_values=(250, 500, 1000, 2000)):
     """Both envelope reports for one stencil over a grid of step counts.
 
     Tables come from the direct route: the spectral route carries a relative
     noise floor near 1e-15 which the growing factor exp(+c * x**(3/2)) in the
     ratio turns into garbage at large x, while direct tables have exact zeros
-    outside the support.  Rates default to fit_decay_rate at the largest n.
+    outside the support.  The rates are fit_decay_rate's at the largest n.
     """
     audit = assumption_audit(stencil)
     if not audit.admissible:
@@ -229,10 +222,8 @@ def envelope_reports(stencil: Stencil,
         x, fast = _sides(g, e)
         fast_side[g.n] = np.abs(g.values)[fast], x[fast]
         osc_side[g.n] = _difference(g, e)[~fast], x[~fast]
-    if c_fast is None:
-        c_fast = _fit_rate(*fast_side[n_values[-1]], FIT_WINDOW, FIT_SAFETY)
-    if c_diff is None:
-        c_diff = _fit_rate(*osc_side[n_values[-1]], FIT_WINDOW, FIT_SAFETY)
+    c_fast = _fit_rate(*fast_side[n_values[-1]])
+    c_diff = _fit_rate(*osc_side[n_values[-1]])
     pairs1 = [(n, _minimal_constant(*fast_side[n], n, c_fast, 0.25))
               for n in n_values]
     pairs2 = [(n, _minimal_constant(*osc_side[n], n, c_diff, 1.0))
@@ -387,22 +378,21 @@ def bv_apply_bound(stencil: Stencil, u: GridFunction, n_values):
     return sup_linf, bv_norm
 
 
-def oscillation_side(g: GreenTable, e: SymbolExpansion, min_n: int = 100,
-                     rel_floor: float = 1e-13) -> str:
+def oscillation_side(g: GreenTable, e: SymbolExpansion) -> str:
     """Which side of the front carries the sign oscillations, left or right.
 
-    Counts sign alternations of Re G among entries above a relative floor on
-    each side of j = alpha*n.  For an admissible scheme the oscillatory side
-    must come out left for c3 > 0 and right for c3 < 0.  Needs n large
-    enough that the wave packet has developed.
+    Counts sign alternations of Re G among entries above 1e-13 of its
+    largest on each side of j = alpha*n.  For an admissible scheme the
+    oscillatory side must come out left for c3 > 0 and right for c3 < 0.
+    Needs n >= 100, so that the wave packet has developed.
     """
     _require_admissible_expansion(e)
-    if g.n < min_n:
-        raise ValueError(f"n = {g.n} is below the minimum {min_n} for a "
+    if g.n < 100:
+        raise ValueError(f"n = {g.n} is below the minimum 100 for a "
                          "meaningful oscillation count")
     d = g.offsets - e.alpha * g.n
     re = np.asarray(g.values).real
-    floor = rel_floor * float(np.max(np.abs(re)))
+    floor = 1e-13 * float(np.max(np.abs(re)))
 
     def alternations(mask):
         v = re[mask]

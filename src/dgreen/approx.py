@@ -53,12 +53,12 @@ def _erf_series(x: np.ndarray) -> np.ndarray:
     return (2.0 / _SQRT_PI) * acc
 
 
-def _erfc_cf(x: np.ndarray, depth: int = 96) -> np.ndarray:
+def _erfc_cf(x: np.ndarray) -> np.ndarray:
     # Laplace continued fraction sqrt(pi) e^{x^2} erfc(x) =
     # 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))), evaluated bottom-up.
     # Converges rapidly for x >= 1.7; depth 96 is far past full precision.
     tail = np.zeros_like(x)
-    for m in range(depth, 0, -1):
+    for m in range(96, 0, -1):
         tail = (0.5 * m) / (x + tail)
     return np.exp(-x * x) / _SQRT_PI / (x + tail)
 
@@ -165,15 +165,22 @@ def _u_ratio(k: int) -> float:
     return (6 * k - 1) * (6 * k - 3) * (6 * k - 5) / (216.0 * k * (2 * k - 1))
 
 
-def _ai_asymp_pos(x: np.ndarray, terms: int = 25) -> np.ndarray:
+def _ai_asymp_pos(x: np.ndarray) -> np.ndarray:
+    # Where exp(-zeta) underflows (x > ~107.7) Ai is +0 and the series with
+    # its positive sum is skipped.
     zeta = (2.0 / 3.0) * x ** 1.5
-    term = np.ones_like(x)
-    acc = term.copy()
-    for k in range(1, terms):
-        term = term * (-_u_ratio(k)) / zeta
-        acc += term
+    out = np.zeros_like(x)
     with np.errstate(under="ignore"):
-        return np.exp(-zeta) / (2.0 * _SQRT_PI * x ** 0.25) * acc
+        scale = np.exp(-zeta)
+        live = scale > 0.0
+        x, zeta, scale = x[live], zeta[live], scale[live]
+        term = np.ones_like(x)
+        acc = term.copy()
+        for k in range(1, 25):
+            term = term * (-_u_ratio(k)) / zeta
+            acc += term
+        out[live] = scale / (2.0 * _SQRT_PI * x ** 0.25) * acc
+    return out
 
 
 def _ai_neg_zeta(t: np.ndarray) -> np.ndarray:
@@ -188,13 +195,13 @@ def _ai_neg_zeta(t: np.ndarray) -> np.ndarray:
 _AI_SIGN_MARGIN = 0.05
 
 
-def _ai_asymp_neg(x: np.ndarray, terms: int = 22) -> np.ndarray:
+def _ai_asymp_neg(x: np.ndarray) -> np.ndarray:
     t = -x
     zeta = _ai_neg_zeta(t)
     even = np.ones_like(t)
     odd = np.zeros_like(t)
     term = np.ones_like(t)
-    for m in range(1, terms):
+    for m in range(1, 22):
         term = term * _u_ratio(m) / zeta
         contrib = term if m % 4 in (0, 1) else -term
         if m % 2 == 0:

@@ -37,7 +37,7 @@ from .green import (
     sample_step,
 )
 from .analysis import bv_bounds, envelope_reports, growth_series
-from .stencil import (AssumptionAudit, Stencil, assumption_audit,
+from .stencil import (AUDIT_GRID, AssumptionAudit, Stencil, assumption_audit,
                       beam_warming, lax_wendroff)
 
 EXIT_OK = 0
@@ -136,10 +136,10 @@ def make_stencil(cfg: RunConfig) -> Stencil:
     triplets = sorted(cfg.custom_coefficients)
     lo = triplets[0][0]
     hi = triplets[-1][0]
-    # The audit samples the symbol at 4096 points per nonzero coefficient,
-    # so a dense span costs that per offset; every stored offset also passes
-    # through the Python loops of the moment sums.
-    if 4096 * (hi - lo + 1) > WORK_LIMIT:
+    # The audit samples the symbol at AUDIT_GRID points per nonzero
+    # coefficient, so a dense span costs that per offset; every stored offset
+    # also passes through the Python loops of the moment sums.
+    if AUDIT_GRID * (hi - lo + 1) > WORK_LIMIT:
         raise WorkBudgetError(
             f"custom offsets span {hi - lo + 1} sites; auditing them "
             f"exceeds the work cap of {WORK_LIMIT:.0e} entries touched")

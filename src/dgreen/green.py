@@ -30,7 +30,6 @@ __all__ = [
     "GridFunction",
     "MemoryBudgetError",
     "WorkBudgetError",
-    "apply",
     "green_direct",
     "green_spectral",
     "spectral_sweep",
@@ -113,13 +112,11 @@ class GridFunction:
     """A doubly infinite grid sequence stored on a finite window.
 
     Outside the stored window the sequence takes the declared constant tail
-    values.  dx is optional physical cell size metadata; it does not affect
-    any computation here.
+    values.
     """
 
     min_index: int
     values: np.ndarray
-    dx: float | None = None
     left_tail: complex = 0.0
     right_tail: complex = 0.0
 
@@ -139,15 +136,6 @@ class GridFunction:
         if j > self.max_index:
             return complex(self.right_tail)
         return complex(self.values[j - self.min_index])
-
-
-def apply(stencil: Stencil, u: GridFunction) -> GridFunction:
-    """One step (L_a u)_j = sum_l a_l u_{j-l}: evolve(stencil, u, 1).
-
-    The stored window widens by the stencil support; tails map to
-    tail * sum(a_l), which preserves them for conservative stencils.
-    """
-    return evolve(stencil, u, 1)
 
 
 def _check_work(steps, start, width: int) -> None:
@@ -206,13 +194,20 @@ def _spectral_size(n: int, width: int) -> int:
     return max(16, 1 << (needed - 1).bit_length())
 
 
-def _check_budget(entries: int, memory_budget_mb: float | None) -> None:
-    """Raise MemoryBudgetError if `entries` complex128 values exceed budget."""
-    if memory_budget_mb is None:
-        budget = float(os.environ.get(MEMORY_BUDGET_ENV,
-                                      DEFAULT_MEMORY_BUDGET_MB))
-    else:
-        budget = float(memory_budget_mb)
+def _check_budget(entries: int) -> None:
+    """Raise MemoryBudgetError if `entries` complex128 values exceed budget.
+
+    The budget is the DG_MEMORY_BUDGET_MB environment variable in MB, else
+    512 MB.  A value that is not a finite number > 0 raises ValueError.
+    """
+    text = os.environ.get(MEMORY_BUDGET_ENV, str(DEFAULT_MEMORY_BUDGET_MB))
+    try:
+        budget = float(text)
+    except ValueError:
+        budget = math.nan
+    if not 0.0 < budget < math.inf:
+        raise ValueError(f"{MEMORY_BUDGET_ENV} must be a finite number of "
+                         f"MB > 0, got {text!r}")
     needed_mb = 16 * entries / 1e6
     if needed_mb > budget:
         raise MemoryBudgetError(
@@ -342,8 +337,7 @@ def _aliased_coefficients(stencil: Stencil, n: int, size: int, alpha: float,
     return coeffs, floor, far_mass
 
 
-def _spectral_window(stencil: Stencil, n: int,
-                     memory_budget_mb: float | None = None, reserve: int = 0):
+def _spectral_window(stencil: Stencil, n: int, reserve: int = 0):
     """G^n on the window that holds its mass, and the transform length used.
 
     For real stencils the transform length M starts from the a-priori window
@@ -375,7 +369,7 @@ def _spectral_window(stencil: Stencil, n: int,
     while True:
         # Traced peak: twelve complex arrays of the sampled frequencies.
         samples = size // 2 + 1 if half else size
-        _check_budget(12 * samples + reserve, memory_budget_mb)
+        _check_budget(12 * samples + reserve)
         coeffs, floor, far_mass = _aliased_coefficients(
             stencil, n, size, alpha, frac, half)
         if size >= full:
@@ -392,20 +386,19 @@ def _spectral_window(stencil: Stencil, n: int,
                       method="spectral"), size
 
 
-def green_spectral(stencil: Stencil, n: int,
-                   memory_budget_mb: float | None = None) -> GreenTable:
+def green_spectral(stencil: Stencil, n: int) -> GreenTable:
     """G^n on its whole support by the windowed spectral route.
 
     Entries outside the window that holds the mass of G^n are exact zeros;
     for real stencils every imaginary part is exactly 0.  Raises
     MemoryBudgetError when the transforms plus the full-support table would
-    exceed the budget (parameter, else the DG_MEMORY_BUDGET_MB environment
-    variable, else 512 MB).
+    exceed the budget (the DG_MEMORY_BUDGET_MB environment variable, else
+    512 MB).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     support = n * stencil.support_width + 1
-    window, _ = _spectral_window(stencil, n, memory_budget_mb, support)
+    window, _ = _spectral_window(stencil, n, support)
     values = np.zeros(support, dtype=complex)
     start = window.min_offset - n * stencil.min_offset
     values[start:start + len(window.values)] = window.values
@@ -427,14 +420,12 @@ def _sweep_entries(block: int, samples: int, size: int, n_max: int) -> int:
     return block * (3 * samples + 3 * size // 2) + 8 * samples + 3 * n_max
 
 
-def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float,
-                 memory_budget_mb: float | None):
+def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float):
     """Norms of G^1..G^n_max on `size` points; None if a guard band fails."""
     half = not any(c.imag for c in stencil.coefficients)
     samples = size // 2 + 1 if half else size
     block = min(_SWEEP_BLOCK, n_max)
-    _check_budget(_sweep_entries(block, samples, size, n_max),
-                  memory_budget_mb)
+    _check_budget(_sweep_entries(block, samples, size, n_max))
     # Samples F(-2 pi k / size), so the inverse transform puts G_j at j.
     symbol = symbol_eval(stencil, (-2.0 * math.pi / size) * np.arange(samples))
     table = np.cumprod(np.broadcast_to(symbol, (block, samples)), axis=0)
@@ -478,8 +469,7 @@ def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float,
     return sums, l1, l2, linf
 
 
-def spectral_sweep(stencil: Stencil, n_max: int,
-                   memory_budget_mb: float | None = None):
+def spectral_sweep(stencil: Stencil, n_max: int):
     """Norms of G^n for every n = 1..n_max off one windowed symbol grid.
 
     Returns (sums, l1, l2, linf) arrays of length n_max (index n-1).  The
@@ -509,10 +499,10 @@ def spectral_sweep(stencil: Stencil, n_max: int,
             raise ValueError(f"G^{n_max} overflows: the sweep has non-finite "
                              "norms")
         return sums, mags, mags.copy(), mags.copy()
-    _, size = _spectral_window(stencil, n_max, memory_budget_mb)
+    _, size = _spectral_window(stencil, n_max)
     alpha = _window_plan(stencil, n_max)[0]
     while True:
-        result = _sweep_norms(stencil, n_max, size, alpha, memory_budget_mb)
+        result = _sweep_norms(stencil, n_max, size, alpha)
         if result is not None:
             return result
         size *= 2
@@ -550,8 +540,7 @@ def evolve(stencil: Stencil, u0: GridFunction, n: int) -> GridFunction:
         out[:-len(u)] += left * np.cumsum(g[::-1])[::-1][1:]
     total = stencil.coefficient_sum() ** n
     return GridFunction(min_index=u0.min_index + n * stencil.min_offset,
-                        values=out, dx=u0.dx,
-                        left_tail=u0.left_tail * total,
+                        values=out, left_tail=u0.left_tail * total,
                         right_tail=u0.right_tail * total)
 
 
@@ -577,8 +566,7 @@ def sample_step(dx: float, half_width: float, j_min: int, j_max: int) -> GridFun
         raise ValueError("empty index range")
     values = [cell_average_indicator(j * dx, (j + 1) * dx, half_width)
               for j in range(j_min, j_max + 1)]
-    return GridFunction(min_index=j_min, values=np.asarray(values, dtype=complex),
-                        dx=dx)
+    return GridFunction(j_min, np.asarray(values, dtype=complex))
 
 
 class Norms(NamedTuple):

@@ -47,6 +47,12 @@ C3_FLOOR = 1e-12
 C4_FLOOR = 1e-12
 CONSERVATION_TOL = 1e-12
 
+# The symbol checks sample theta on AUDIT_GRID points of [-pi, pi];
+# dissipation_check leaves out |theta| < EXCLUSION_RADIUS around the neutral
+# point theta = 0.
+AUDIT_GRID = 4096
+EXCLUSION_RADIUS = 1e-3
+
 # Dissipation must clear rounding: 1 - |F(theta)| has to exceed
 # MARGIN_FLOOR * sum |a_l| * sin(theta/2)^4 at every sampled theta.  The
 # rounding error of the sampled |F| is bounded by about 20 eps sum |a_l| for
@@ -122,8 +128,8 @@ class Stencil:
         return complex(math.fsum(c.real for c in self.coefficients),
                        math.fsum(c.imag for c in self.coefficients))
 
-    def is_conservative(self, tol: float = CONSERVATION_TOL) -> bool:
-        return abs(self.coefficient_sum() - 1.0) <= tol
+    def is_conservative(self) -> bool:
+        return abs(self.coefficient_sum() - 1.0) <= CONSERVATION_TOL
 
     def reflected(self) -> "Stencil":
         """Spatial reflection a_l -> a_{-l}; flips the sign of odd cumulants."""
@@ -175,14 +181,12 @@ def symbol_eval(stencil: Stencil, theta):
     return out
 
 
-def modulus_identity_check(kind: str, lam: float, grid_size: int = 4096) -> float:
-    """Max abs deviation of |F_a|^2 from its closed form on a symmetric grid.
+def modulus_identity_check(kind: str, lam: float) -> float:
+    """Max abs deviation of |F_a|^2 from its closed form on the audit grid.
 
     kind "lw": |F|^2 = 1 - 4 lam^2 (1 - lam^2) sin^4(theta/2)
     kind "bw": |F|^2 = 1 - 4 lam (1-lam)^2 (2-lam) sin^4(theta/2)
     """
-    if grid_size < 16:
-        raise ValueError("grid_size must be at least 16")
     if kind == "lw":
         stencil = lax_wendroff(lam)
         factor = 4.0 * lam**2 * (1.0 - lam**2)
@@ -191,28 +195,23 @@ def modulus_identity_check(kind: str, lam: float, grid_size: int = 4096) -> floa
         factor = 4.0 * lam * (1.0 - lam) ** 2 * (2.0 - lam)
     else:
         raise ValueError(f"unknown scheme kind {kind!r}")
-    theta = np.linspace(-math.pi, math.pi, grid_size)
+    theta = np.linspace(-math.pi, math.pi, AUDIT_GRID)
     modulus_sq = np.abs(symbol_eval(stencil, theta)) ** 2
     closed = 1.0 - factor * np.sin(theta / 2.0) ** 4
     return float(np.max(np.abs(modulus_sq - closed)))
 
 
-def dissipation_check(stencil: Stencil, grid_size: int = 4096,
-                      exclusion_radius: float = 1e-3):
-    """Sample |F_a| on [-pi, pi] outside (-r, r); return (dissipative, min_margin).
+def dissipation_check(stencil: Stencil):
+    """Sample |F_a| on the audit grid; return (dissipative, min_margin).
 
-    min_margin = 1 - max |F_a| over the sampled set.  dissipative requires
+    Samples with |theta| < EXCLUSION_RADIUS, around the neutral point
+    theta = 0, are left out.  min_margin = 1 - max |F_a| over the sampled
+    set.  dissipative requires
     1 - |F_a(theta)| > MARGIN_FLOOR * sum |a_l| * sin(theta/2)^4 at every
     sample, so a margin at rounding level away from theta = 0 is refused.
-    The exclusion radius keeps the neutral point theta = 0 out of the
-    sample; it must satisfy 0 < r < pi.
     """
-    if grid_size < 64:
-        raise ValueError("grid_size must be at least 64")
-    if not 0.0 < exclusion_radius < math.pi:
-        raise ValueError("exclusion_radius must lie in (0, pi)")
-    theta = np.linspace(-math.pi, math.pi, grid_size)
-    theta = theta[np.abs(theta) >= exclusion_radius]
+    theta = np.linspace(-math.pi, math.pi, AUDIT_GRID)
+    theta = theta[np.abs(theta) >= EXCLUSION_RADIUS]
     margins = 1.0 - np.abs(symbol_eval(stencil, theta))
     floor = (MARGIN_FLOOR * math.fsum(abs(c) for c in stencil.coefficients)
              * np.sin(0.5 * theta) ** 4)
@@ -317,8 +316,7 @@ class AssumptionAudit:
     admissible: bool
 
 
-def assumption_audit(stencil: Stencil, grid_size: int = 4096,
-                     exclusion_radius: float = 1e-3) -> AssumptionAudit:
+def assumption_audit(stencil: Stencil) -> AssumptionAudit:
     """Run every admissibility check and combine the verdict.
 
     A stencil passes when it is conservative, strictly dissipative on the
@@ -330,8 +328,7 @@ def assumption_audit(stencil: Stencil, grid_size: int = 4096,
     sums_to_one = stencil.is_conservative()
     normalization = total if not sums_to_one and total != 0 else 1.0
     expansion = _expansion(stencil, normalization)
-    dissipative, min_margin = dissipation_check(stencil, grid_size,
-                                                exclusion_radius)
+    dissipative, min_margin = dissipation_check(stencil)
     admissible = (sums_to_one and dissipative
                   and expansion.kappa2 <= KAPPA2_TOL
                   and expansion.nondegenerate)

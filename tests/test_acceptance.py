@@ -120,9 +120,9 @@ def test_02_modulus_identities(capsys):
     start = time.perf_counter()
     worst = 0.0
     for lam in LW_LAMBDAS:
-        worst = max(worst, modulus_identity_check("lw", lam, 4096))
+        worst = max(worst, modulus_identity_check("lw", lam))
     for lam in BW_LAMBDAS:
-        worst = max(worst, modulus_identity_check("bw", lam, 4096))
+        worst = max(worst, modulus_identity_check("bw", lam))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0
     _report(capsys, ok,

@@ -111,13 +111,30 @@ def approx_G_everywhere(params, n, j):
     return float(out[0]) if scalar else out
 
 
+def ai_asymp_pos_everywhere(x):
+    """Ai's decaying expansion summed at every x, also where exp(-zeta)
+    underflows: the reference for airy_ai's bits on x >= 8."""
+    zeta = (2.0 / 3.0) * x ** 1.5
+    term = np.ones_like(x)
+    acc = term.copy()
+    for k in range(1, 25):
+        term = term * (-approx._u_ratio(k)) / zeta
+        acc += term
+    with np.errstate(under="ignore"):
+        return np.exp(-zeta) / (2.0 * math.sqrt(math.pi) * x ** 0.25) * acc
+
+
 def approx_H_everywhere(params, n, j):
-    """approx_H with Ai evaluated at every point, also where the damping
-    underflows: the reference for approx_H's bits."""
+    """approx_H with Ai evaluated at every point, also where the damping or
+    exp(-zeta) underflows: the reference for approx_H's bits."""
     d, scalar = approx._front_distance(params, n, j)
     z = (3.0 * params.c3_abs * n) ** (1.0 / 3.0)
     with np.errstate(under="ignore"):
-        vals = airy_ai(d / z) / z
+        x = d / z
+        ai = airy_ai(x)
+        ahead = x >= approx._ASYMP_POS
+        ai[ahead] = ai_asymp_pos_everywhere(x[ahead])
+        vals = ai / z
         behind = d < 0.0
         if behind.any():
             vals[behind] *= np.exp(-params.beta0 * d[behind] ** 2 / n)
@@ -334,6 +351,14 @@ class TestUnderflowBits:
         assert approx_G(lw34_params(), 16, 12) == 0.0
         self.check(beam_warming(1.5), 16, -8)    # alpha n = -8: d = 0
         self.check(lax_wendroff(0.6), 100_000, -90_000)
+
+    def test_airy_tail(self):
+        # Around and past x = 107.7, where exp(-zeta) underflows to 0.
+        x = np.concatenate([np.linspace(8.0, 1e4, 100_001),
+                            np.linspace(107.6, 107.8, 2001), [np.inf]])
+        ai = airy_ai(x)
+        assert ai.tobytes() == ai_asymp_pos_everywhere(x).tobytes()
+        assert (ai > 0.0).any() and (ai == 0.0).any()
 
     def test_no_underflow(self):
         # n = 7: every point but the front keeps its Gaussian factor.

@@ -107,6 +107,18 @@ class TestExitCodes:
         assert not out.exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1", "abc"])
+    def test_invalid_memory_budget(self, tmp_path, monkeypatch, capsys,
+                                   budget):
+        monkeypatch.setenv("DG_MEMORY_BUDGET_MB", budget)
+        out = tmp_path / "g.csv"
+        assert run("green", "--scheme", "lw", "--lambda", "0.75",
+                   "--n", "1000", "--out", str(out)) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: DG_MEMORY_BUDGET_MB must be a finite number of MB > 0, "
+            f"got {budget!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("args", [
         ("evolve", "--dx", "0.5", "--t", "1e300"),
         ("evolve", "--dx", "1e-300", "--t", "1"),
@@ -591,7 +603,7 @@ def test_public_names():
         SymbolExpansion assumption_audit beam_warming dissipation_check
         expansion_coefficients lax_wendroff modulus_identity_check symbol_eval
         DEFAULT_MEMORY_BUDGET_MB MEMORY_BUDGET_ENV GreenTable GridFunction
-        MemoryBudgetError WorkBudgetError Norms apply cell_average_indicator
+        MemoryBudgetError WorkBudgetError Norms cell_average_indicator
         evolve green_direct green_spectral norms sample_step spectral_sweep
         ApproxParams airy_ai approx_G approx_H erf growth_constant FIT_SAFETY
         FIT_WINDOW BoundReport BVReport GrowthReport bv_apply_bound bv_bounds
@@ -599,6 +611,26 @@ def test_public_names():
         fit_decay_rate growth_series oscillation_side total_variation
         """.split())
     assert all(hasattr(dgreen, name) for name in dgreen.__all__)
+    # The library's optional parameters and dataclass fields, private ones
+    # included: each is set to different values by callers in the package.
+    defaulted = set()
+    for module in (dgreen.stencil, dgreen.green, dgreen.approx,
+                   dgreen.analysis):
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            for fn in vars(obj).values() if inspect.isclass(obj) else [obj]:
+                fn = getattr(fn, "__func__", fn)
+                if inspect.isfunction(fn):
+                    defaulted.update(
+                        f"{fn.__qualname__}.{p.name}"
+                        for p in inspect.signature(fn).parameters.values()
+                        if p.default is not p.empty)
+    assert defaulted == {
+        "Stencil.__init__.label", "GridFunction.__init__.left_tail",
+        "GridFunction.__init__.right_tail", "_expansion.normalization",
+        "_expansion.probe", "_spectral_window.reserve",
+        "envelope_reports.n_values"}
 
 
 # Argument values for the fuzz: three draws in four ordinary, the rest zero,

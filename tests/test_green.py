@@ -12,11 +12,11 @@ from dgreen import green
 from dgreen.green import (
     GreenTable,
     GridFunction,
+    MEMORY_BUDGET_ENV,
     MemoryBudgetError,
     WorkBudgetError,
     _spectral_size,
     _spectral_window,
-    apply,
     cell_average_indicator,
     evolve,
     green_direct,
@@ -73,7 +73,7 @@ class TestGridFunction:
 class TestApply:
     def test_single_step_is_stencil(self):
         s = lax_wendroff(0.75)
-        u = apply(s, delta())
+        u = evolve(s, delta(), 1)
         assert u.min_index == s.min_offset
         assert_allclose(u.values, s.as_array(), atol=0)
 
@@ -81,7 +81,7 @@ class TestApply:
         # (L_a u)_j = sum_l a_l u_{j-l} checked entrywise on a dense window
         s = beam_warming(1.5)
         u = GridFunction(-1, (0.5, -1.0, 2.0, 0.25))
-        v = apply(s, u)
+        v = evolve(s, u, 1)
         for j in range(v.min_index - 2, v.max_index + 3):
             expected = sum(s.coefficient(l) * u.value_at(j - l)
                            for l in range(s.min_offset, s.max_offset + 1))
@@ -90,7 +90,7 @@ class TestApply:
     def test_constant_tails_propagate(self):
         s = lax_wendroff(0.5)
         u = GridFunction(0, (0.3,), left_tail=1.0, right_tail=2.0)
-        v = apply(s, u)
+        v = evolve(s, u, 1)
         # conservative stencil maps constant tails to themselves
         assert v.left_tail == pytest.approx(1.0, abs=1e-15)
         assert v.right_tail == pytest.approx(2.0, abs=1e-15)
@@ -142,9 +142,10 @@ class TestGreenTables:
         assert u.min_index == g.min_offset
         assert_allclose(u.values, g.values, atol=1e-15)
 
-    def test_memory_budget_refusal(self):
+    def test_memory_budget_refusal(self, monkeypatch):
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "1.0")
         with pytest.raises(MemoryBudgetError):
-            green_spectral(lax_wendroff(0.75), 100000, memory_budget_mb=1.0)
+            green_spectral(lax_wendroff(0.75), 100000)
 
     def test_memory_budget_env(self, monkeypatch):
         monkeypatch.setenv("DG_MEMORY_BUDGET_MB", "0.001")
@@ -316,8 +317,9 @@ class TestWindowedRoute:
         assert size > first
         # Room for the first transform but not for the doubled one.
         budget = 16 * 12 * (first // 2 + 1) * 1.5 / 1e6
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, repr(budget))
         with pytest.raises(MemoryBudgetError):
-            _spectral_window(s, 10 ** 5, memory_budget_mb=budget)
+            _spectral_window(s, 10 ** 5)
 
 
 class TestWorkCap:
@@ -489,15 +491,17 @@ class TestWindowedSweep:
         assert_sweep_close(s, SWEEP_N, spectral_sweep(s, SWEEP_N))
         assert len(sizes) > 1 and sizes == sorted(sizes)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         s = lax_wendroff(0.75)
         size = _spectral_window(s, SWEEP_N)[1]
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "1e-3")
         with pytest.raises(MemoryBudgetError):
-            spectral_sweep(s, SWEEP_N, memory_budget_mb=1e-3)
+            spectral_sweep(s, SWEEP_N)
         # Room for the planning transform, not for the sweep's blocks.
         planning = 16 * 12 * (size // 2 + 1) / 1e6
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, repr(1.5 * planning))
         with pytest.raises(MemoryBudgetError):
-            spectral_sweep(s, SWEEP_N, memory_budget_mb=1.5 * planning)
+            spectral_sweep(s, SWEEP_N)
 
     @pytest.mark.parametrize("stencil", [
         lax_wendroff(0.75), beam_warming(1.5), LW5, COMPLEX,
@@ -528,7 +532,6 @@ class TestStepData:
         u = sample_step(0.25, 0.5, -4, 4)
         # cell sums times dx recover the measure of [-0.5, 0.5]
         assert float(u.values.real.sum()) * 0.25 == pytest.approx(1.0)
-        assert u.dx == 0.25
         assert u.left_tail == 0.0
 
     def test_norms_tuple(self):
