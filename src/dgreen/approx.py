@@ -225,11 +225,12 @@ def airy_ai(x):
     Relative accuracy ~1e-10 for |x| <= 10 and absolute ~1e-12 beyond; for
     x >= ~108 the result underflows to 0, and for very negative x the phase
     carries the usual argument-reduction loss of large trigonometric calls.
+    NaN gives NaN.
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr).astype(float)
-    out = np.empty_like(arr)
+    out = np.full_like(arr, math.nan)     # NaN is in no branch below
     neg = arr <= _MACLAURIN_LO
     mac = (arr > _MACLAURIN_LO) & (arr < _MACLAURIN_HI)
     mid = (arr >= _MACLAURIN_HI) & (arr < _ASYMP_POS)

@@ -9,7 +9,10 @@ stencils meeting the paper's assumptions the mass of G^n sits in an O(sqrt n)
 window around the front j = alpha*n, so the route samples only as many
 points as that window needs and checks afterwards that nothing else folded
 into it; other stencils get the alias-free grid of n * support_width + 1
-points.  Either way the result is exact up to rounding.
+points.  Either way the result is exact up to rounding.  Every transform
+length is the smallest 16 * 2^a * 3^b * 5^c at or above the points needed:
+from 500 points on at most 1.13 times them, where the next power of two
+may be twice.
 """
 
 from __future__ import annotations
@@ -66,7 +69,8 @@ _SWEEP_BLOCK = 8
 
 
 class MemoryBudgetError(RuntimeError):
-    """Raised when a spectral transform would exceed the memory budget."""
+    """Raised when a transform or a convolution loop would exceed the
+    memory budget."""
 
 
 class WorkBudgetError(RuntimeError):
@@ -157,9 +161,12 @@ def _direct_tables(stencil: Stencil, n_values):
     One convolution loop serves the whole list, so it costs the steps of the
     largest n alone.  Real stencils convolve in float64 and cast each table
     to complex128 once.  WorkBudgetError for the largest n is raised before
-    anything is allocated.
+    anything is allocated, and so is MemoryBudgetError for its table held
+    three times in complex128: the caller's last table, the step arrays and
+    the table being handed out (the traced peak of a loop).
     """
     _check_work(n_values[-1], 1, stencil.support_width)
+    _check_budget(3 * (n_values[-1] * stencil.support_width + 1))
     kernel = stencil.as_array()
     if not kernel.imag.any():
         kernel = kernel.real.copy()
@@ -182,16 +189,38 @@ def _direct_tables(stencil: Stencil, n_values):
 def green_direct(stencil: Stencil, n: int) -> GreenTable:
     """G^n by iterated convolution of the coefficient array.  Oracle route.
 
-    Raises WorkBudgetError when n^2 * support_width exceeds WORK_LIMIT.
+    Raises WorkBudgetError when n^2 * support_width exceeds WORK_LIMIT and
+    MemoryBudgetError when three complex tables of n * support_width + 1
+    entries exceed the memory budget.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     return next(_direct_tables(stencil, [n]))
 
 
+def _fft_length(needed: int) -> int:
+    """The smallest M = 16 * 2^a * 3^b * 5^c with M >= needed.
+
+    numpy's FFT runs such lengths about as fast per point as a power of
+    two, and from needed = 500 on M is at most 1.13 * needed, where the next
+    power of two may be twice it.  16 | M keeps the guard bands of M/8 whole
+    and the irfft half grid even, and doubling M keeps its form.
+    """
+    best, p5 = math.inf, 16
+    while True:
+        p35 = p5
+        while True:
+            best = min(best, p35 << (-(-needed // p35) - 1).bit_length())
+            if p35 >= needed:
+                break
+            p35 *= 3
+        if p5 >= needed:
+            return best
+        p5 *= 5
+
+
 def _spectral_size(n: int, width: int) -> int:
-    needed = n * width + 1
-    return max(16, 1 << (needed - 1).bit_length())
+    return _fft_length(n * width + 1)
 
 
 def _check_budget(entries: int) -> None:
@@ -211,7 +240,7 @@ def _check_budget(entries: int) -> None:
     needed_mb = 16 * entries / 1e6
     if needed_mb > budget:
         raise MemoryBudgetError(
-            f"spectral route needs about {needed_mb:.3g} MB, budget is "
+            f"the computation needs about {needed_mb:.3g} MB, budget is "
             f"{budget:.3g} MB")
 
 
@@ -236,8 +265,7 @@ def _window_plan(stencil: Stencil, n: int):
     front = ((3.0 * abs(e.c3) * n) ** (1.0 / 3.0)
              * (1.5 * _TAIL_LOG) ** (2.0 / 3.0))
     half = wake + front
-    needed = math.ceil(2.0 * half * _GUARD / (_GUARD - 2))
-    return e.alpha, max(16, 1 << (needed - 1).bit_length())
+    return e.alpha, _fft_length(math.ceil(2.0 * half * _GUARD / (_GUARD - 2)))
 
 
 # Taylor coefficients of (cos x - 1 + x^2/2) / x^4 and (sin x - x) / x^3 in
@@ -343,12 +371,14 @@ def _spectral_window(stencil: Stencil, n: int, reserve: int = 0):
     For real stencils the transform length M starts from the a-priori window
     of _window_plan and doubles until the guard bands at both window edges
     and the mass of frequencies travelling past the window core are at the
-    rounding floor.  At the alias-free length n * support_width + 1 (rounded
-    up to a power of two) the table is the whole support.  Entries of G^n
-    outside the returned window are below rounding.  The memory budget is checked before
-    every transform against twelve complex arrays of the sampled frequencies
-    (M/2 + 1 of them for real stencils, M otherwise) plus `reserve` entries
-    the caller will allocate.
+    rounding floor.  Both lengths are _fft_length of the points they need,
+    so every M is 16 * 2^a * 3^b * 5^c.  At or beyond the alias-free
+    length, the one for n * support_width + 1 points, the table is the
+    whole support.  Entries of G^n outside the returned window are below
+    rounding.  The memory budget is checked before every transform against
+    twelve complex arrays of the sampled frequencies (M/2 + 1 of them for
+    real stencils, M otherwise) plus `reserve` entries the caller will
+    allocate.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -476,7 +506,8 @@ def spectral_sweep(stencil: Stencil, n_max: int):
     transform length M is the one _spectral_window settles on for n_max:
     the window that holds the mass of G^n_max, which also holds that of
     every smaller n, or the alias-free length for complex, non-conservative
-    and degenerate stencils.  F^1..F^b are sampled once (M/2 + 1 samples
+    and degenerate stencils; either is 16 * 2^a * 3^b * 5^c, and so is
+    every doubling of it.  F^1..F^b are sampled once (M/2 + 1 samples
     for real stencils); each block of b consecutive n is that table times
     the last power of the previous block, inverted by one batched
     transform, and the norms are row reductions over all M coefficients.

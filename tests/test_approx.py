@@ -232,6 +232,19 @@ class TestAiryAi:
         assert airy_ai(5.0) > 0
         assert airy_ai(5.0) < airy_ai(0.0) * 1e-3
 
+    def test_nan_gives_nan(self):
+        # Finite points in every branch: asymptotic left, Maclaurin, anchor,
+        # asymptotic right; NaN at both ends, between them and in a block.
+        finite = np.array([-10.0, 1.0, 3.0, 9.0, 200.0])
+        x = np.full(64, np.nan)
+        where = np.array([3, 17, 18, 40, 62])
+        x[where] = finite
+        got = airy_ai(x)
+        assert np.isnan(np.delete(got, where)).all()
+        assert got[where].tobytes() == airy_ai(finite).tobytes()
+        assert math.isnan(airy_ai(math.nan))
+        assert math.isnan(airy_ai(np.float64(math.nan)))
+
 
 class TestApproxParams:
     def test_beta_identities(self):

@@ -120,6 +120,25 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args", [
+        ("green", "--n", "1000", "--method", "direct"),
+        ("bounds",),
+        ("bv",),
+        ("evolve", "--dx", "0.5", "--t", "10"),
+    ])
+    @pytest.mark.parametrize("budget,code,message", [
+        ("1e-9", EXIT_MEMORY, "budget is 1e-09 MB"),
+        ("nan", EXIT_CONFIG, "DG_MEMORY_BUDGET_MB must be a finite number"),
+    ])
+    def test_direct_routes_check_budget(self, tmp_path, monkeypatch, capsys,
+                                        args, budget, code, message):
+        monkeypatch.setenv("DG_MEMORY_BUDGET_MB", budget)
+        out = tmp_path / "o"
+        assert run(*args, "--scheme", "lw", "--lambda", "0.75",
+                   "--out", str(out)) == code
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
         ("evolve", "--dx", "0.5", "--t", "1e300"),
         ("evolve", "--dx", "1e-300", "--t", "1"),
         ("green", "--n", "1000000", "--method", "direct"),

@@ -1,3 +1,4 @@
+import bisect
 import functools
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dgreen import green
+from dgreen.analysis import bv_bounds, growth_series
 from dgreen.green import (
     GreenTable,
     GridFunction,
@@ -151,6 +153,37 @@ class TestGreenTables:
         monkeypatch.setenv("DG_MEMORY_BUDGET_MB", "0.001")
         with pytest.raises(MemoryBudgetError):
             green_spectral(lax_wendroff(0.75), 10000)
+
+    def test_direct_budget_checked_before_work(self, monkeypatch):
+        # Three complex tables of 2n + 1 entries: 0.096 MB at n = 1000.
+        s = lax_wendroff(0.75)
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "0.095")
+        with pytest.raises(MemoryBudgetError):
+            green_direct(s, 1000)
+        with pytest.raises(MemoryBudgetError):
+            evolve(s, delta(), 1000)
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "0.097")
+        green_direct(s, 1000)
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "nan")
+        with pytest.raises(ValueError, match=MEMORY_BUDGET_ENV):
+            green_direct(s, 1000)
+
+    @pytest.mark.parametrize("stencil", [
+        lax_wendroff(0.75), beam_warming(1.5), COMPLEX,
+        Stencil(-2, (0.05, 0.2, 0.5, 0.2, 0.05))])
+    def test_direct_traced_peak_within_model(self, stencil):
+        n_values = [1000, 2000]
+        modelled = 16 * 3 * (n_values[-1] * stencil.support_width + 1)
+        for tables in (lambda: green_direct(stencil, n_values[-1]),
+                       lambda: [g.n for g in green._direct_tables(stencil,
+                                                                  n_values)]):
+            tracemalloc.start()
+            try:
+                tables()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= modelled
 
 
 class TestEvolveEquivalence:
@@ -519,6 +552,78 @@ class TestWindowedSweep:
         finally:
             tracemalloc.stop()
         assert peak <= modelled
+
+
+def smooth_lengths(limit):
+    """Every 16 * 2^a * 3^b * 5^c <= limit, sorted, by brute force."""
+    return sorted(16 * 2 ** a * 3 ** b * 5 ** c
+                  for a in range(limit.bit_length())
+                  for b in range(limit.bit_length())
+                  for c in range(limit.bit_length())
+                  if 16 * 2 ** a * 3 ** b * 5 ** c <= limit)
+
+
+def is_smooth(size):
+    """size = 16 * 2^a * 3^b * 5^c, by trial division."""
+    if size % 16:
+        return False
+    size //= 16
+    for p in (2, 3, 5):
+        while size % p == 0:
+            size //= p
+    return size == 1
+
+
+def power_of_two_length(needed):
+    """The length rule the spectral routes used before smooth lengths."""
+    return max(16, 1 << (needed - 1).bit_length())
+
+
+class TestTransformLengths:
+    def test_smallest_smooth_length(self):
+        lengths = smooth_lengths(1 << 22)
+        for m in [*range(1, 20001), 2 * 10 ** 5 + 1, 2 ** 21 + 1]:
+            assert green._fft_length(m) == lengths[bisect.bisect_left(
+                lengths, m)]
+
+    @staticmethod
+    def transform_lengths(run):
+        lengths = []
+        irfft, ifft = np.fft.irfft, np.fft.ifft
+
+        def spy_irfft(a, n=None, *args, **kwargs):
+            lengths.append(n)
+            return irfft(a, n, *args, **kwargs)
+
+        def spy_ifft(a, *args, **kwargs):
+            lengths.append(np.shape(a)[-1])
+            return ifft(a, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.fft, "irfft", spy_irfft)
+            patch.setattr(np.fft, "ifft", spy_ifft)
+            run()
+        return lengths
+
+    @pytest.mark.parametrize("stencil", [lax_wendroff(0.75),
+                                         beam_warming(1.5), LW5, COMPLEX])
+    def test_every_transform_is_smooth(self, stencil, monkeypatch):
+        runs = [lambda: green_spectral(stencil, 1200),
+                lambda: spectral_sweep(stencil, 1200)]
+        if stencil is not COMPLEX:      # c3 = 0: both reports refuse it
+            runs += [lambda: growth_series(stencil, [10, 100, 1000, 10 ** 5]),
+                     lambda: bv_bounds(stencil, [100, 1000, 5000])]
+        shorter = False
+        for run in runs:
+            new = self.transform_lengths(run)
+            with monkeypatch.context() as patch:
+                patch.setattr(green, "_fft_length", power_of_two_length)
+                old = self.transform_lengths(run)
+            assert new and all(is_smooth(size) for size in new)
+            assert len(new) == len(old)
+            assert all(a <= b for a, b in zip(new, old))
+            shorter = shorter or any(a < b for a, b in zip(new, old))
+        assert shorter      # the sizes are chosen so that the rule matters
 
 
 class TestStepData:
