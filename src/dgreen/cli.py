@@ -30,7 +30,9 @@ from .green import (
     WORK_LIMIT,
     MemoryBudgetError,
     WorkBudgetError,
+    _check_budget,
     _check_work,
+    _evolve_entries,
     evolve,
     green_direct,
     green_spectral,
@@ -353,6 +355,12 @@ def cmd_evolve(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
     # an extra step.
     n = max(0, math.ceil(steps - 1e-9))
     j_half = math.ceil(cfg.half_width / cfg.dx)
+    # Before anything is allocated: the step data, evolve's table and
+    # arrays, and the CSV of the output window, whose columns, lines and
+    # text take about twelve complex128 entries a row.
+    cells = 2 * j_half + 3
+    _check_budget(cells + _evolve_entries(cells, n, s.support_width)
+                  + 12 * (cells + n * s.support_width))
     u0 = sample_step(cfg.dx, cfg.half_width, -j_half - 1, j_half + 1)
     un = evolve(s, u0, n)
     j = np.arange(un.min_index, un.max_index + 1)

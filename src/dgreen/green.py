@@ -2,9 +2,12 @@
 
 The Green's function of n steps is the n-fold self convolution of the stencil
 coefficients: G^n = L_a^n delta.  Two routes compute it.  The direct route
-iterates np.convolve (cost O(n^2 |support|), in float64 for real stencils);
-it is the oracle, and evolve convolves grid data with its table.  The
-spectral route samples the n-th power of the symbol and inverts the DFT.  For
+iterates np.convolve (cost at most O(n^2 |support|), in float64 for real
+stencils) over the span of entries in the normal float range: tails that
+underflow below the smallest normal float64 are exact zeros, since a
+subnormal entry costs a convolution about 75 times a normal one.  It is the
+oracle, and evolve convolves grid data with its table.  The spectral route
+samples the n-th power of the symbol and inverts the DFT.  For
 stencils meeting the paper's assumptions the mass of G^n sits in an O(sqrt n)
 window around the front j = alpha*n, so the route samples only as many
 points as that window needs and checks afterwards that nothing else folded
@@ -49,9 +52,12 @@ DEFAULT_MEMORY_BUDGET_MB = 512.0
 
 # Cap on the entries a convolution step loop touches.  A loop of `steps`
 # steps that starts from a window of `start` entries touches about
-# start + steps * (start + steps * width) of them.  green_direct gets through
-# about 2e8 a second in float64 and 5e7 in complex arithmetic, so the cap
-# refuses loops longer than about ten seconds (forty for complex stencils).
+# start + steps * (start + steps * width) of them if no tail underflows.
+# The direct route steps only the span of normal-range entries, which for
+# the paper's stencils grows like sqrt(n), so the cap overestimates their
+# work: at the cap (n = 31622, width 2) green_direct takes about 0.16 s
+# for Lax-Wendroff 3/4 and Beam-Warming 0.36 and 3.5 s for a complex
+# 3-point stencil on a 2-CPU x86 box.
 WORK_LIMIT = 2e9
 
 # Window sizing of the spectral route.  The wake of G^n is damped like
@@ -63,6 +69,7 @@ WORK_LIMIT = 2e9
 _TAIL_LOG = 40.0
 _GUARD = 8
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)   # the smallest normal float64
 
 # Consecutive n that spectral_sweep powers and transforms as one batch.
 _SWEEP_BLOCK = 8
@@ -162,36 +169,70 @@ def _direct_tables(stencil: Stencil, n_values):
     largest n alone.  Real stencils convolve in float64 and cast each table
     to complex128 once.  WorkBudgetError for the largest n is raised before
     anything is allocated, and so is MemoryBudgetError for its table held
-    three times in complex128: the caller's last table, the step arrays and
-    the table being handed out (the traced peak of a loop).
+    three times in complex128: the caller's last table, the buffer, and a
+    step's convolution or the table being handed out (the traced peak of a
+    loop).
+
+    Underflow rule: the loop keeps a live span [lo, hi) of one buffer the
+    size of the largest table.  Each step convolves the span alone, then
+    walks both ends of the result inward past entries with |G| below
+    _TINY, the smallest normal float64.  Everything outside the span is an
+    exact +0.0; entries inside it keep full IEEE semantics.  A subnormal
+    entry costs np.convolve 70 to 80 times a normal one (47 against 0.6 ns
+    on a 2-CPU x86 box), and the far tails of a table at n = 3000 hold
+    hundreds of them, so without the rule they took most of each late step
+    and the cost of a step depended on lambda.  What the rule drops is
+    below 1e-300 of absolute value: against a loop over the whole support
+    (the tests' reference, across Lax-Wendroff and Beam-Warming lambdas,
+    complex and 5-point stencils, n up to 3000) entries of |G| >= 1e-280
+    keep their bits and none moves by more than 1e-300.
     """
     _check_work(n_values[-1], 1, stencil.support_width)
     _check_budget(3 * (n_values[-1] * stencil.support_width + 1))
     kernel = stencil.as_array()
     if not kernel.imag.any():
         kernel = kernel.real.copy()
-    values, done = kernel, 1
-    for n in n_values:
-        if stencil.support_width == 0:
-            # A pure shift: G^n is a^n alone, and a loop of up to
-            # WORK_LIMIT steps would spend its time in call overhead.
-            # GreenTable refuses a power that overflows.
+    width = stencil.support_width
+    if width == 0:
+        # A pure shift: G^n is a^n alone, and a loop of up to WORK_LIMIT
+        # steps would spend its time in call overhead.  GreenTable refuses
+        # a power that overflows.
+        for n in n_values:
             with np.errstate(over="ignore"):
                 values = kernel ** n
-        else:
-            for _ in range(n - done):
-                values = np.convolve(values, kernel)
-            done = n
+            yield GreenTable(n=n, min_offset=n * stencil.min_offset,
+                             values=values.astype(complex), method="direct")
+        return
+    buf = np.zeros(n_values[-1] * width + 1, dtype=kernel.dtype)
+    buf[:width + 1] = kernel
+    lo, hi, done = 0, width + 1, 1
+    for n in n_values:
+        for _ in range(n - done):
+            if lo == hi:            # the whole table has underflowed
+                break
+            buf[lo:hi + width] = np.convolve(buf[lo:hi], kernel)
+            hi += width
+            while lo < hi and abs(buf[lo]) < _TINY:
+                buf[lo] = 0.0
+                lo += 1
+            while hi > lo and abs(buf[hi - 1]) < _TINY:
+                hi -= 1
+                buf[hi] = 0.0
+        done = n
         yield GreenTable(n=n, min_offset=n * stencil.min_offset,
-                         values=values.astype(complex), method="direct")
+                         values=buf[:n * width + 1].astype(complex),
+                         method="direct")
 
 
 def green_direct(stencil: Stencil, n: int) -> GreenTable:
     """G^n by iterated convolution of the coefficient array.  Oracle route.
 
-    Raises WorkBudgetError when n^2 * support_width exceeds WORK_LIMIT and
-    MemoryBudgetError when three complex tables of n * support_width + 1
-    entries exceed the memory budget.
+    Entries below the smallest normal float64 at either end of the table
+    are exact +0.0 (the underflow rule of _direct_tables); every other
+    entry is the IEEE result of the step loop.  Raises WorkBudgetError
+    when n^2 * support_width exceeds WORK_LIMIT and MemoryBudgetError when
+    three complex tables of n * support_width + 1 entries exceed the
+    memory budget.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -539,6 +580,17 @@ def spectral_sweep(stencil: Stencil, n_max: int):
         size *= 2
 
 
+def _evolve_entries(cells: int, n: int, width: int) -> int:
+    """Complex128 entries evolve holds at its peak on data of `cells` cells.
+
+    The direct table of G^n three times, as _direct_tables models it, and
+    three arrays of the output window of cells + n * width entries: the
+    convolution, its complex128 copy and the float64 copies of the data and
+    the table (or the tail sums) that np.convolve makes.
+    """
+    return 3 * (n * width + 1) + 3 * (cells + n * width)
+
+
 def evolve(stencil: Stencil, u0: GridFunction, n: int) -> GridFunction:
     """n applications of the stencil: u0 convolved with G^n plus its tails.
 
@@ -549,13 +601,16 @@ def evolve(stencil: Stencil, u0: GridFunction, n: int) -> GridFunction:
     evolve(s, delta, n) equals green_direct(s, n) bit for bit.
 
     Raises WorkBudgetError when start + n * (start + n * width) exceeds
-    WORK_LIMIT, start being the length of u0's window.
+    WORK_LIMIT, start being the length of u0's window, and
+    MemoryBudgetError when the table and the output window exceed the
+    memory budget (_evolve_entries); both before anything is allocated.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_work(n, len(u0.values), stencil.support_width)
     if n == 0:
         return u0
+    _check_budget(_evolve_entries(len(u0.values), n, stencil.support_width))
     g = green_direct(stencil, n).values
     u = u0.values
     left, right = complex(u0.left_tail), complex(u0.right_tail)
@@ -595,9 +650,16 @@ def sample_step(dx: float, half_width: float, j_min: int, j_max: int) -> GridFun
         raise ValueError("half_width must be positive")
     if j_max < j_min:
         raise ValueError("empty index range")
-    values = [cell_average_indicator(j * dx, (j + 1) * dx, half_width)
-              for j in range(j_min, j_max + 1)]
-    return GridFunction(j_min, np.asarray(values, dtype=complex))
+    # cell_average_indicator on every cell at once, in the same operations,
+    # so each cell gets the same bits; edges that overflow are inf, as in
+    # Python arithmetic, and make an empty cell.
+    j = np.arange(j_min, j_max + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        x_lo, x_hi = j * dx, (j + 1.0) * dx
+    if not np.all(x_hi > x_lo):
+        raise ValueError("empty cell")
+    overlap = np.minimum(x_hi, half_width) - np.maximum(x_lo, -half_width)
+    return GridFunction(j_min, np.maximum(overlap, 0.0) / (x_hi - x_lo))
 
 
 class Norms(NamedTuple):

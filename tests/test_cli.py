@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import stat
 import tempfile
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -227,6 +229,22 @@ class TestCoeffs:
         data = json.loads(capsys.readouterr().out)
         assert data["kappa2"] == pytest.approx(0.1875)
         assert data["admissible"] is False
+
+
+    @pytest.mark.parametrize("output_format,digest", [
+        ("text",
+         "059c253bedf060796addfedf5b908a47a39736d09c64ca2f213df89e287747b5"),
+        ("json",
+         "a23ea6381f37f789ff8c47fdf16a04144c2b89fc16fe0c6387bec97d3572772e"),
+    ])
+    def test_sparse_wide_bytes_unchanged(self, capsys, output_format, digest):
+        # Recorded when Stencil checked and summed its 400001 coefficients
+        # one Python object at a time.
+        assert run("coeffs", "--scheme", "custom",
+                   "--custom", "0:0.5:0,400000:0.5:0",
+                   "--format", output_format) == EXIT_OK
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestGreen:
@@ -475,6 +493,51 @@ class TestEvolve:
                 for k, j in enumerate(range(un.min_index, un.max_index + 1))]
         assert lines[2:] == rows
 
+    def test_budget_checked_before_step_data(self, tmp_path, monkeypatch,
+                                             capsys):
+        # 2e5 cells of step data: about 51 MB with evolve's arrays and CSV.
+        monkeypatch.setenv("DG_MEMORY_BUDGET_MB", "1")
+        out = tmp_path / "ev.csv"
+        with mock.patch.object(cli, "sample_step", side_effect=AssertionError):
+            assert run("evolve", "--lambda", "0.75", "--dx", "1e-5",
+                       "--t", "1e-5", "--half-width", "1",
+                       "--out", str(out)) == EXIT_MEMORY
+        assert capsys.readouterr().err == (
+            "error: the computation needs about 51.2 MB, budget is 1 MB\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ("--lambda", "0.75", "--dx", "5e-5", "--t", "5e-5", "--half-width",
+         "1"),
+        ("--lambda", "0.75", "--dx", "0.0005", "--t", "0.9375"),
+        ("--lambda", "0.49", "--dx", "0.01", "--t", "24.5"),
+        ("--scheme", "bw", "--lambda", "1.5", "--dx", "1e-4", "--t", "0.075",
+         "--half-width", "1"),
+        ("--scheme", "custom", "--custom=-2:0.01171875:0,-1:-0.125:0,"
+         "0:0.2109375:0,1:0.65625:0,2:0.24609375:0", "--lambda", "0.5",
+         "--dx", "0.001", "--t", "1.5"),
+        ("--scheme", "custom", "--custom=-1:0.25:-0.05,0:0.5:0.1,1:0.25:-0.05",
+         "--lambda", "0.5", "--dx", "0.001", "--t", "0.5"),
+    ])
+    def test_traced_peak_within_checked_budget(self, tmp_path, monkeypatch,
+                                               args):
+        checked = []
+        check = cli._check_budget
+
+        def spy(entries):
+            checked.append(entries)
+            check(entries)
+
+        monkeypatch.setattr(cli, "_check_budget", spy)
+        tracemalloc.start()
+        try:
+            assert run("evolve", *args, "--out",
+                       str(tmp_path / "ev.csv")) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(checked) == 1 and peak <= 16 * checked[0]
+
     @pytest.mark.parametrize("args", [
         ("--dx", "0.1", "--t", "inf"),
         ("--dx", "nan", "--t", "1"),
@@ -514,6 +577,58 @@ class TestReports:
         assert data["stable"] is True
         assert data["max_identity_gap"] <= 1e-12
         assert data["sup_overall"] == pytest.approx(1.0, abs=1e-10)
+
+
+LW5_CUSTOM = ("--custom=-2:0.01171875:0,-1:-0.125:0,0:0.2109375:0,"
+              "1:0.65625:0,2:0.24609375:0")       # LW(3/4) * LW(1/2)
+# sha256 of the bounds and bv reports as the direct route wrote them when
+# every step convolved the whole support, subnormal tails included (numpy
+# 2.4.6, x86-64).  Trimming the underflowed tails must not move one byte.
+REPORT_SHA256 = {
+    "bounds --scheme lw --lambda 0.75":
+        "9b5780107a93b2e65dbfda47c7f8106187c6f7eb5e42766a65264cae101487e6",
+    "bv --scheme lw --lambda 0.75 --n-list 100,1000,3000":
+        "6ff854406406dba020572906b10c6b549aba9a78ccce99aeb309a8ffaf6a59db",
+    "bounds --scheme lw --lambda 0.3":
+        "73c1b2703d80689dc244f781b84644fb3666a3e128c4e2aea906ba528826624f",
+    "bv --scheme lw --lambda 0.3 --n-list 100,1000,3000":
+        "815091f573ffac9a244f605ccada0afcea79b5e0bbd8f0bca3ed572a745b79bb",
+    "bounds --scheme lw --lambda 0.49":
+        "5a0d368f0289d210d8223b336ccf35ad5ebb0080b97d0c1dc45293f81086c3aa",
+    "bv --scheme lw --lambda 0.49 --n-list 100,1000,3000":
+        "ad901451cf37ebc17d801f649965f5ff8f86fb0923f3c8f355f20769a397d108",
+    "bounds --scheme bw --lambda 0.5":
+        "9de86c52428a9c4c7c1b119f127ab4a5bed5d6380aa8b6e5ff4c4e5136acc423",
+    "bv --scheme bw --lambda 0.5 --n-list 100,1000,3000":
+        "344172c407c4dd80fbac598f24980c9fa2d055fb06b9fc4777213e840e7dc1d8",
+    "bounds --scheme bw --lambda 0.36":
+        "a6a9865bf3309224df5be344de5873a38ce46e35385b9314f8fb50b25dfb226d",
+    "bv --scheme bw --lambda 0.36 --n-list 100,1000,3000":
+        "b65af5b2dd7acb853e711937c11300fa06a13fac29f0f84226346abf21023cd6",
+    "bounds --scheme bw --lambda 1.5":
+        "3b80d823cbcbb0161fd088b20db25c5fdbb72fcb429d16855a1ca5628b2b6f2c",
+    "bv --scheme bw --lambda 1.5 --n-list 100,1000,3000":
+        "fe48d425a6359ef7196aa3e5206fb5213b5570b7b7d5d8e6a598a8a20cbe7bb0",
+    "bounds --scheme bw --lambda 1.8":
+        "5a76927cd501c0c69ba51ea7db5c390497b51f349ef2660c9f73c97c11a6a2de",
+    "bv --scheme bw --lambda 1.8 --n-list 100,1000,3000":
+        "9d908bb639a905dd5749561150fdf09bee1183318071d72dd0f072d8c4dc352f",
+    f"bounds --scheme custom {LW5_CUSTOM}":
+        "373bee52740b228048b1b6291b8c237f923e1157351260b60229ed55d9abd6be",
+    f"bv --scheme custom {LW5_CUSTOM} --n-list 100,1000,3000":
+        "876d71504c2c832e5138011e104bb46a3723b98d2b0ea843603106adc59e9411",
+}
+
+
+@pytest.mark.parametrize("command,digest", REPORT_SHA256.items())
+def test_report_bytes_unchanged(tmp_path, capsys, command, digest):
+    argv = command.split()
+    out = tmp_path / "report.json"
+    assert run(*argv) == EXIT_OK
+    text = capsys.readouterr().out
+    assert run(*argv, "--out", str(out)) == EXIT_OK
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import bisect
 import functools
+import re
 import tracemalloc
 import warnings
 
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dgreen import green
+from dgreen import cli, green
 from dgreen.analysis import bv_bounds, growth_series
 from dgreen.green import (
     GreenTable,
@@ -186,6 +187,43 @@ class TestGreenTables:
             assert peak <= modelled
 
 
+class TestEvolveBudget:
+    def test_checked_before_work(self, monkeypatch):
+        # 3 tables of 5 entries and 3 windows of 100004: 4.8 MB.
+        u = GridFunction(0, np.ones(100000))
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "4.7")
+        with pytest.raises(MemoryBudgetError, match="needs about 4.8 MB"):
+            evolve(lax_wendroff(0.75), u, 2)
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "4.9")
+        evolve(lax_wendroff(0.75), u, 2)
+
+    @pytest.mark.parametrize("stencil", [
+        lax_wendroff(0.75), beam_warming(1.5), COMPLEX,
+        Stencil(-2, (0.05, 0.2, 0.5, 0.2, 0.05))])
+    @pytest.mark.parametrize("cells,n,kind", [
+        (100000, 3, "real"), (100000, 3, "tails"), (50000, 3, "complex"),
+        (11, 3000, "real"), (11, 3000, "tails"), (11, 3000, "complex"),
+        (5000, 1000, "tails")])
+    def test_traced_peak_within_model(self, stencil, cells, n, kind):
+        rng = np.random.default_rng(cells + n)
+        values = rng.normal(size=cells)
+        left = right = 0.0
+        if kind != "real":
+            left, right = 0.5, -1.5
+        if kind == "complex":
+            values = values + 1j * rng.normal(size=cells)
+            right = -1.5 + 2j
+        u = GridFunction(-3, values, left_tail=left, right_tail=right)
+        modelled = 16 * green._evolve_entries(cells, n, stencil.support_width)
+        tracemalloc.start()
+        try:
+            evolve(stencil, u, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= modelled
+
+
 class TestEvolveEquivalence:
     @pytest.mark.parametrize("stencil", [
         lax_wendroff(0.75), beam_warming(1.5), COMPLEX,
@@ -208,9 +246,9 @@ class TestEvolveEquivalence:
         assert abs(got.left_tail - want.left_tail) <= 1e-13
         assert abs(got.right_tail - want.right_tail) <= 1e-13
 
-    @pytest.mark.parametrize("stencil", [lax_wendroff(0.75),
-                                         beam_warming(0.5), COMPLEX])
-    @pytest.mark.parametrize("n", (1, 7, 50))
+    @pytest.mark.parametrize("stencil", [lax_wendroff(0.75), beam_warming(0.5),
+                                         beam_warming(0.36), COMPLEX])
+    @pytest.mark.parametrize("n", (1, 7, 50, 500, 3000))
     def test_delta_is_green_bit_for_bit(self, stencil, n):
         u = evolve(stencil, delta(), n)
         g = green_direct(stencil, n)
@@ -227,6 +265,124 @@ class TestEvolveEquivalence:
             assert g.min_offset == ref.min_offset
             assert g.values.dtype == ref.values.dtype == complex
             assert np.array_equal(g.values, ref.values)
+
+
+def ieee_direct_tables(stencil, n_values):
+    """Reference direct route: every step convolves the whole support, so
+    subnormal and underflowed tails follow IEEE arithmetic all the way."""
+    kernel = stencil.as_array()
+    if not kernel.imag.any():
+        kernel = kernel.real.copy()
+    values, done = kernel, 1
+    for n in n_values:
+        if stencil.support_width == 0:
+            with np.errstate(over="ignore"):
+                values = kernel ** n
+        else:
+            for _ in range(n - done):
+                values = np.convolve(values, kernel)
+            done = n
+        yield GreenTable(n=n, min_offset=n * stencil.min_offset,
+                         values=values.astype(complex), method="direct")
+
+
+TINY = np.finfo(float).tiny
+UNDERFLOW_CASES = [
+    *(lax_wendroff(lam) for lam in (0.1, 0.3, 0.49, 0.75, 0.95)),
+    *(beam_warming(lam) for lam in (0.2, 0.36, 0.5, 0.8, 1.2, 1.5, 1.8)),
+    COMPLEX,
+    Stencil(-2, tuple(np.convolve(lax_wendroff(0.75).as_array().real,
+                                  lax_wendroff(0.5).as_array().real))),
+    Stencil(-2, (0.15, 0.0, 0.6, 0.0, -0.05, 0.3)),  # interior zeros
+]
+UNDERFLOW_N = [1, 1, 7, 500, 500, 3000]
+
+
+@functools.lru_cache(maxsize=None)
+def ieee_tables(stencil):
+    return {g.n: g for g in ieee_direct_tables(stencil, UNDERFLOW_N)}
+
+
+def assert_underflow_rule(g, ref):
+    """g obeys the underflow rule and matches the IEEE reference table."""
+    assert g.n == ref.n and g.min_offset == ref.min_offset
+    assert g.values.dtype == ref.values.dtype == complex
+    assert len(g.values) == len(ref.values)
+    parts = np.concatenate([g.values.real, g.values.imag])
+    assert not np.any(np.signbit(parts) & (parts == 0))      # no -0.0
+    big = np.abs(ref.values) >= 1e-280
+    assert np.array_equal(g.values[big], ref.values[big])     # same bits
+    assert np.max(np.abs(g.values - ref.values)) <= 1e-300
+    # Outside the live span every entry is +0.0, and its ends are normal.
+    live = np.flatnonzero(g.values)
+    assert len(live) and np.abs(g.values[live[[0, -1]]]).min() >= TINY
+
+
+class TestUnderflowRule:
+    @pytest.mark.parametrize("stencil", UNDERFLOW_CASES)
+    def test_matches_ieee_reference(self, stencil):
+        refs = ieee_tables(stencil)
+        tables = list(green._direct_tables(stencil, UNDERFLOW_N))
+        assert [g.n for g in tables] == UNDERFLOW_N
+        for g in tables:
+            assert_underflow_rule(g, refs[g.n])
+        assert_underflow_rule(green_direct(stencil, 3000), refs[3000])
+
+    @pytest.mark.parametrize("stencil", [lax_wendroff(0.3), beam_warming(0.36),
+                                         COMPLEX])
+    def test_tails_are_trimmed(self, stencil):
+        # The reference carries subnormal tails that the span leaves out.
+        ref = ieee_tables(stencil)[3000].values
+        live = np.flatnonzero(green_direct(stencil, 3000).values)
+        tails = np.concatenate([ref[:live[0]], ref[live[-1] + 1:]])
+        assert np.count_nonzero(tails) >= 50
+        assert np.abs(tails).max() < 1e-300
+
+    def test_whole_table_underflows(self):
+        # sum a = 0.4: G^n falls below the smallest normal everywhere.
+        s = Stencil(-1, (0.1, 0.2, 0.1))
+        n_values = [100, 1000, 1000, 1200]
+        refs = list(ieee_direct_tables(s, n_values))
+        assert np.abs(refs[1].values).max() < TINY
+        for g, ref in zip(green._direct_tables(s, n_values), refs):
+            assert g.n == ref.n and len(g.values) == len(ref.values)
+            if g.n == 100:
+                assert np.array_equal(g.values, ref.values)
+            else:
+                assert g.values.tobytes() == bytes(16 * len(g.values))
+
+    @pytest.mark.parametrize("argv", [
+        ("green", "--scheme", "bw", "--lambda", "0.36", "--n", "2500",
+         "--method", "direct"),
+        ("green", "--scheme", "lw", "--lambda", "0.75", "--n", "500",
+         "--method", "direct", "--format", "json"),
+        ("evolve", "--scheme", "lw", "--lambda", "0.49", "--dx", "0.0005",
+         "--t", "0.6125"),
+        ("evolve", "--scheme", "bw", "--lambda", "0.36", "--dx", "0.001",
+         "--t", "1.08"),
+    ])
+    def test_artifacts_differ_only_below_1e_280(self, tmp_path, monkeypatch,
+                                                argv):
+        new, old = tmp_path / "new", tmp_path / "old"
+        assert cli.main([*argv, "--out", str(new)]) == 0
+        monkeypatch.setattr(green, "_direct_tables", ieee_direct_tables)
+        assert cli.main([*argv, "--out", str(old)]) == 0
+        cells = [re.split(r"[\s,\[\]]+", path.read_text())
+                 for path in (old, new)]
+        assert len(cells[0]) == len(cells[1])
+        changed = [(float(a), float(b)) for a, b in zip(*cells) if a != b]
+        assert changed
+        for a, b in changed:
+            assert abs(a) < 1e-280 and abs(b - a) <= 1e-300
+
+    @pytest.mark.parametrize("stencil", [Stencil(2, (-0.5,)),
+                                         Stencil(-1, (0.5 + 0.5j,))])
+    def test_pure_shift_unchanged(self, stencil):
+        n_values = [1, 3, 3, 1000, 1075, 2000]
+        for g, ref in zip(green._direct_tables(stencil, n_values),
+                          ieee_direct_tables(stencil, n_values)):
+            assert g.min_offset == ref.min_offset
+            assert g.values.tobytes() == ref.values.tobytes()
 
 
 @st.composite
@@ -638,6 +794,31 @@ class TestStepData:
         # cell sums times dx recover the measure of [-0.5, 0.5]
         assert float(u.values.real.sum()) * 0.25 == pytest.approx(1.0)
         assert u.left_tail == 0.0
+
+    @pytest.mark.parametrize("dx,half_width,j_min,j_max", [
+        (0.25, 0.5, -4, 4), (0.1, 0.5, -7, 7), (1e-4, 1.0, -10002, 10002),
+        (0.7, 2.05, -5, 5), (3.0, 0.5, -2, 2), (0.3, 1.0, 2, 40),
+        (1e-3, 0.3337, -400, 100), (2.0 ** -20, 0.1, -104859, 104859),
+        # Edge cells whose bits change if (j + 1) * dx becomes j * dx + dx.
+        (0.1, 0.55, -7, 7), (0.11, 1.05, -11, 11), (0.007, 1.0, -144, 144),
+    ])
+    def test_sample_step_bits(self, dx, half_width, j_min, j_max):
+        u = sample_step(dx, half_width, j_min, j_max)
+        cells = [cell_average_indicator(j * dx, (j + 1) * dx, half_width)
+                 for j in range(j_min, j_max + 1)]
+        assert u.min_index == j_min
+        assert u.values.tobytes() == np.asarray(cells, dtype=complex).tobytes()
+
+    def test_sample_step_empty_cell(self):
+        # Cells 2 and 3 run from inf to inf, as cell_average_indicator
+        # refuses them.
+        with pytest.raises(ValueError, match="empty cell"):
+            cell_average_indicator(2 * 1e308, 3 * 1e308, 1.0)
+        with pytest.raises(ValueError, match="empty cell"):
+            sample_step(1e308, 1.0, 0, 2)
+        assert sample_step(1e308, 1.0, -1, 0).values.tolist() == [
+            cell_average_indicator(j * 1e308, (j + 1) * 1e308, 1.0)
+            for j in (-1, 0)]
 
     def test_norms_tuple(self):
         res = norms(np.asarray([3.0, -4.0]))

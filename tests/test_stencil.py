@@ -1,9 +1,11 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dgreen import stencil as stencil_module
 from dgreen.stencil import (
     CONSERVATION_TOL,
     Stencil,
@@ -54,6 +56,43 @@ class TestStencil:
     def test_overflowing_sum_rejected(self):
         with pytest.raises(ValueError, match="overflows"):
             Stencil(0, (1e308, 1e308))
+        with pytest.raises(ValueError, match="overflows"):
+            Stencil(-1, (1e308j, 0.0, 1e308j))
+
+    def test_coefficient_sums_are_exact(self, monkeypatch):
+        # Array passes give the bits of the per-coefficient Python sums.
+        rng = np.random.default_rng(7)
+        coeffs = (rng.normal(size=2001) * 10.0 ** rng.integers(-30, 30, 2001)
+                  + 1j * rng.normal(size=2001))
+        coeffs[[5, 700, 1500]] = 0.0
+        s = Stencil(-1000, tuple(coeffs))
+        assert s.coefficient_sum() == complex(
+            math.fsum(c.real for c in s.coefficients),
+            math.fsum(c.imag for c in s.coefficients))
+        # The dissipation floor sums abs(complex) of every coefficient;
+        # numpy's complex abs differs from it in the last bit for about a
+        # third of these.
+        summed = []
+
+        def fsum(values):
+            summed.append(list(values))
+            return math.fsum(summed[-1])
+
+        monkeypatch.setattr(stencil_module, "math",
+                            types.SimpleNamespace(pi=math.pi, fsum=fsum))
+        dissipation_check(s)
+        assert summed == [[abs(c) for c in s.coefficients]]
+
+    def test_trimming_keeps_bits(self):
+        s = Stencil(-3, (0.0, -0.0, complex(0.25, -0.0), -0.0, 0.5, 0.25, 0j))
+        assert s.min_offset == -1
+        assert all(type(c) is complex for c in s.coefficients)
+        assert list(map(repr, s.coefficients)) == [
+            "(0.25-0j)", "(-0+0j)", "(0.5+0j)", "(0.25+0j)"]
+        with pytest.raises(ValueError, match="no nonzero"):
+            Stencil(0, (0.0, -0.0, 0j))
+        with pytest.raises(ValueError, match="no nonzero"):
+            Stencil(0, ())
 
     def test_conservative_sum(self):
         s = beam_warming(1.5)
