@@ -581,6 +581,7 @@ class TestReports:
 
 LW5_CUSTOM = ("--custom=-2:0.01171875:0,-1:-0.125:0,0:0.2109375:0,"
               "1:0.65625:0,2:0.24609375:0")       # LW(3/4) * LW(1/2)
+COMPLEX_CUSTOM = _COMPLEX[-1]
 # sha256 of the bounds and bv reports as the direct route wrote them when
 # every step convolved the whole support, subnormal tails included (numpy
 # 2.4.6, x86-64).  Trimming the underflowed tails must not move one byte.
@@ -617,6 +618,96 @@ REPORT_SHA256 = {
         "373bee52740b228048b1b6291b8c237f923e1157351260b60229ed55d9abd6be",
     f"bv --scheme custom {LW5_CUSTOM} --n-list 100,1000,3000":
         "876d71504c2c832e5138011e104bb46a3723b98d2b0ea843603106adc59e9411",
+    # coeffs, green (both routes, CSV and JSON), evolve and growth as
+    # written before each route read the stencil's coefficient data from
+    # one place (numpy 2.4.6, x86-64).
+    "coeffs --scheme lw --lambda 0.75":
+        "e2e6049fde38d31cd412094660815c34641a500b3581c6a35f31ce609570d9a4",
+    "coeffs --scheme lw --lambda 0.75 --format json":
+        "1bc00e054fea865c1aca6f7d500e634872de86032b6c46a4e9435d583b0fe977",
+    "green --scheme lw --lambda 0.75 --n 500 --method spectral":
+        "a480fd8ff3f6a029f7036c2faa1056fafdec460450d1259ec4dcf5040a0b7101",
+    "green --scheme lw --lambda 0.75 --n 500 --method spectral --format json":
+        "285501cf19bffc83e6988f1e618f2ca2f0687476fc3c26dec3b7cf8e2a5fc6a3",
+    "green --scheme lw --lambda 0.75 --n 500 --method direct":
+        "f3354a384c03a879ff7cf1b5e780382e563cee49436c644ea4abf526017239eb",
+    "green --scheme lw --lambda 0.75 --n 500 --method direct --format json":
+        "ece7c0e6d744ab82293b0ec7cfb60df48192d624eeac511b57dada75a3a96d55",
+    "evolve --scheme lw --lambda 0.75 --dx 0.05 --t 1.0":
+        "5f8013704d9bf235259b42f15a96e04a0ef8d0b197df895aad37c16b9fd04105",
+    "growth --scheme lw --lambda 0.75":
+        "ccb03d1aa57c54bf827aa358f06fd5bf9756673d20644b38a7d9ff9b96d89ba6",
+    "coeffs --scheme bw --lambda 0.5":
+        "75a690c771864c0b1a013287c64bc00138f7f3e2c51914e6295a5913ee841df6",
+    "coeffs --scheme bw --lambda 0.5 --format json":
+        "291c974b7aa140e54bbda399230b499d0745ee69cf90c183152a4463388edc1d",
+    "green --scheme bw --lambda 0.5 --n 500 --method spectral":
+        "235036c9e7372b220166be4ef12776dbd6529b90af20aa083d4a2b81fb94b1a7",
+    "green --scheme bw --lambda 0.5 --n 500 --method spectral --format json":
+        "aa2123f6258069cc8f4f2b35a012483de720d090d4a5d10324cfeaec36aa3598",
+    "green --scheme bw --lambda 0.5 --n 500 --method direct":
+        "935c5d3889eb38744a4efa09104ae6f3b6cdfe35a01534b1eac3d4577fdba0c9",
+    "green --scheme bw --lambda 0.5 --n 500 --method direct --format json":
+        "e274a4e5a38a436b043e0eeb1c52344ec53fd355d11ebb548b8654341e235d46",
+    "evolve --scheme bw --lambda 0.5 --dx 0.05 --t 1.0":
+        "8dfc292656a7aaf2de9c691504d05e388315bca7fb8f3909618270aaa4895b7a",
+    "growth --scheme bw --lambda 0.5":
+        "5f8b85503d0a5c10f41754f45be9ceb68d2bd30a2a7871bcd366943e0cb84f48",
+    "coeffs --scheme bw --lambda 1.5":
+        "121a2283864c363d398175413156b31e53cc1b2a29c7dae994754c5470af7397",
+    "coeffs --scheme bw --lambda 1.5 --format json":
+        "4e26f364d3d40917bb5974ad0c1a8d002bc30ca0b7a0f162f8ff93c15bcb70a4",
+    "green --scheme bw --lambda 1.5 --n 500 --method spectral":
+        "714a565d7194b13c2b60fa78f52621e7c363bfb9f2996ed87d18b8acd75a183c",
+    "green --scheme bw --lambda 1.5 --n 500 --method spectral --format json":
+        "1c1dd459716649135963e2aa16af98eea3c1c1bcbb1fb1045e1b4edffb49dd5f",
+    "green --scheme bw --lambda 1.5 --n 500 --method direct":
+        "302683b990d95b9b13772be66f5705f429fd86d5aff1ba251b183cba39d0c373",
+    "green --scheme bw --lambda 1.5 --n 500 --method direct --format json":
+        "b458ae7a4e10628a11c0ecda5b8e0c93e555e3253f2c8809cf1b937a42c7d2fa",
+    "evolve --scheme bw --lambda 1.5 --dx 0.05 --t 1.0":
+        "ef3f0283add51537342c92b8a57949cd818c43066b2b8ee302c90dfbad325c26",
+    "growth --scheme bw --lambda 1.5":
+        "1a9d7f44faa234237cfc6b2497436e670383a4edae918b976763a8836f34a67c",
+    f"coeffs --scheme custom {LW5_CUSTOM}":
+        "23b3e5e714170cf8bda0ddae93c3e0ac10b97fbcbac8284f0e8ac272f69f5b3b",
+    f"coeffs --scheme custom {LW5_CUSTOM} --format json":
+        "28d552500014dd83d01ede2682ffe093ff0b1e488f55c296a130b5759be7a867",
+    f"green --scheme custom {LW5_CUSTOM} --n 500 --method spectral":
+        "2e8c0f991c6637c7fe065ee445c50fb3f51e628b648f82b5f0a751e29531b8ad",
+    (f"green --scheme custom {LW5_CUSTOM} --n 500 --method spectral"
+     " --format json"):
+        "07d53e72bda400085833b7d56c9c8066f1416c935a23f4129a47ad15de5282b5",
+    f"green --scheme custom {LW5_CUSTOM} --n 500 --method direct":
+        "2ba4bb1837a32020606f0b1490fdd1342eff37cc35ee85cee0079a08bf0d8442",
+    (f"green --scheme custom {LW5_CUSTOM} --n 500 --method direct"
+     " --format json"):
+        "b807579b6e705e526ab705e6d8a9d38cca1a803da7aaf664f323cdeb6a1419a3",
+    f"evolve --scheme custom {LW5_CUSTOM} --lambda 0.5 --dx 0.05 --t 1.0":
+        "9db617450f73b6072309b04ef2cf0525ed771b4f64c9ebcfbcc9c056c0ff3242",
+    f"growth --scheme custom {LW5_CUSTOM}":
+        "4938d482f6ab5007b5f75e308d877e8b9345ed00ed85f0a879467d591e37fbb4",
+    f"coeffs --scheme custom {COMPLEX_CUSTOM}":
+        "dbf6f8bfb3cda1d07800d342cc1cadfe3252cd7ce1900b99cbe3c0a3963c583e",
+    f"coeffs --scheme custom {COMPLEX_CUSTOM} --format json":
+        "0f9b737ffde62cd330720e6b520fb554ceefd8104fb51c7404497dd610f86d2b",
+    f"green --scheme custom {COMPLEX_CUSTOM} --n 500 --method spectral":
+        "31218bf0a7a59e2d63a9bbaf0bb58bfb4192b9f48ea14be800c72cb3046ecc90",
+    (f"green --scheme custom {COMPLEX_CUSTOM} --n 500 --method spectral"
+     " --format json"):
+        "bb55d0ce4cefe11faea57fc1d1d6537609631cc54ace7fd4b006941531ac0903",
+    f"green --scheme custom {COMPLEX_CUSTOM} --n 500 --method direct":
+        "ad5a535115f9682dc9f5cae180a776b0e4e8a5934b08b0cf7122010c40948605",
+    (f"green --scheme custom {COMPLEX_CUSTOM} --n 500 --method direct"
+     " --format json"):
+        "31f2cab5a193c31f6d337705589729e8683d9498d9f8310bc64e1843766d7c82",
+    f"evolve --scheme custom {COMPLEX_CUSTOM} --lambda 0.5 --dx 0.05 --t 1.0":
+        "6bacdc95f4c23220d97fe581a511216e85c3686861a0f9d4b8d105f67633260d",
+    f"growth --scheme custom {COMPLEX_CUSTOM}":
+        "d59510f12d8a8adfb93e7158db051994a91c1a283528a2a248b21dcfe5e1aeef",
+    "evolve --scheme custom --custom=3:0.5:0,4:0.5:0 --lambda 0.5"
+    " --dx 0.05 --t 1.0":
+        "17bb14d27b821885888bbe537dde73e0907d3eb79a51e31e06cf2616cd3eaede",
 }
 
 
