@@ -201,7 +201,7 @@ def _assemble_bound_report(side: str, c_used: float, pairs) -> BoundReport:
                        sup_C=sup_c, stable=stable)
 
 
-def envelope_reports(stencil: Stencil, n_values=(250, 500, 1000, 2000)):
+def envelope_reports(stencil: Stencil, n_values):
     """Both envelope reports for one stencil over a grid of step counts.
 
     Tables come from the direct route: the spectral route carries a relative

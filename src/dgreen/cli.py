@@ -50,6 +50,9 @@ EXIT_ACCEPTANCE = 5
 
 SCHEMA_VERSION = 1
 
+# Rows of the evolve CSV whose cells are formatted at once.
+_CSV_BLOCK = 1024
+
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -139,8 +142,8 @@ def make_stencil(cfg: RunConfig) -> Stencil:
     lo = triplets[0][0]
     hi = triplets[-1][0]
     # The audit samples the symbol at AUDIT_GRID points per nonzero
-    # coefficient, so a dense span costs that per offset; every stored offset
-    # also passes through the Python loops of the moment sums.
+    # coefficient, so a dense span costs that per offset; the stencil also
+    # stores every offset of its span.
     if AUDIT_GRID * (hi - lo + 1) > WORK_LIMIT:
         raise WorkBudgetError(
             f"custom offsets span {hi - lo + 1} sites; auditing them "
@@ -363,17 +366,20 @@ def cmd_evolve(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
                   + 12 * (cells + n * s.support_width))
     u0 = sample_step(cfg.dx, cfg.half_width, -j_half - 1, j_half + 1)
     un = evolve(s, u0, n)
-    j = np.arange(un.min_index, un.max_index + 1)
-    # u0 padded onto un's window with its tails, as u0.value_at(j) reads it.
-    k = j - u0.min_index
-    u0_col = np.where(k < 0, u0.left_tail.real,
-                      np.where(k >= len(u0.values), u0.right_tail.real,
-                               u0.values.real[np.clip(k, 0, len(u0.values) - 1)]))
+    # u0 on un's window, as u0.value_at reads it: the cells beyond u0's own
+    # window lie off the step, so they average to 0 like u0's tails.
+    u0_col = sample_step(cfg.dx, cfg.half_width, un.min_index,
+                         un.max_index).values.real
+    x = (np.arange(un.min_index, un.max_index + 1) + 0.5) * cfg.dx
     lines = [f"# dgreen evolve {_scheme_meta(cfg)} dx={cfg.dx!r} "
              f"t={cfg.t_final!r} half_width={cfg.half_width!r} n={n}",
              "x,u0,un"]
-    lines.extend(f"{x:.17g},{a:.17g},{b:.17g}" for x, a, b in zip(
-        ((j + 0.5) * cfg.dx).tolist(), u0_col.tolist(), un.values.real.tolist()))
+    # Cells are formatted a block of rows at a time, so that only the lines
+    # grow with the window, as the budget check above assumes.
+    for lo in range(0, len(x), _CSV_BLOCK):
+        rows = slice(lo, lo + _CSV_BLOCK)
+        lines.extend(map(",".join, zip(_cells(x[rows]), _cells(u0_col[rows]),
+                                       _cells(un.values.real[rows]))))
     _emit(cfg, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -390,8 +396,7 @@ def cmd_growth(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
 
 
 def cmd_bounds(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
-    rep1, rep2 = (envelope_reports(s, cfg.n_list) if cfg.n_list
-                  else envelope_reports(s))
+    rep1, rep2 = envelope_reports(s, cfg.n_list or (250, 500, 1000, 2000))
     accepted = rep1.stable and rep2.stable
     return _emit_json(cfg, s, {
         "sides_switched": audit.expansion.c3 < 0,

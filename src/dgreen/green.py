@@ -162,6 +162,27 @@ def _check_work(steps, start, width: int) -> None:
             f"the work cap of {WORK_LIMIT:.0e} entries touched")
 
 
+def _kernel(stencil: Stencil) -> np.ndarray:
+    """The coefficient array, as float64 for real stencils."""
+    kernel = stencil.as_array()
+    return kernel.real.copy() if stencil.is_real else kernel
+
+
+def _shift_powers(stencil: Stencil, n_values) -> np.ndarray:
+    """a^n of a pure shift a for each n of n_values, as complex128.
+
+    Every route takes a pure shift's powers from here, so the routes agree
+    bit for bit and a real a gives exactly real powers.  Each power is its
+    own a ** n with an integer n: numpy squares for n = 2 but calls pow for
+    an array of exponents, which can differ in the last bit.  Powers that
+    overflow are inf or nan, which the callers refuse.
+    """
+    kernel = _kernel(stencil)
+    with np.errstate(all="ignore"):
+        return np.fromiter(((kernel ** n)[0] for n in n_values), kernel.dtype,
+                           len(n_values)).astype(complex)
+
+
 def _direct_tables(stencil: Stencil, n_values):
     """Yield green_direct(stencil, n) for each n of the sorted list n_values.
 
@@ -189,20 +210,16 @@ def _direct_tables(stencil: Stencil, n_values):
     """
     _check_work(n_values[-1], 1, stencil.support_width)
     _check_budget(3 * (n_values[-1] * stencil.support_width + 1))
-    kernel = stencil.as_array()
-    if not kernel.imag.any():
-        kernel = kernel.real.copy()
     width = stencil.support_width
     if width == 0:
         # A pure shift: G^n is a^n alone, and a loop of up to WORK_LIMIT
-        # steps would spend its time in call overhead.  GreenTable refuses
-        # a power that overflows.
+        # steps would spend its time in call overhead.
         for n in n_values:
-            with np.errstate(over="ignore"):
-                values = kernel ** n
             yield GreenTable(n=n, min_offset=n * stencil.min_offset,
-                             values=values.astype(complex), method="direct")
+                             values=_shift_powers(stencil, [n]),
+                             method="direct")
         return
+    kernel = _kernel(stencil)
     buf = np.zeros(n_values[-1] * width + 1, dtype=kernel.dtype)
     buf[:width + 1] = kernel
     lo, hi, done = 0, width + 1, 1
@@ -365,8 +382,7 @@ def _aliased_coefficients(stencil: Stencil, n: int, size: int, alpha: float,
     # is as small as z itself: z and log(1 + z) carry relative rounding, and
     # the drift n*alpha*theta never enters the rounded phase.
     total = stencil.coefficient_sum()
-    lags = [(coeff, offset - alpha)
-            for offset, coeff in zip(stencil.offsets, stencil.coefficients)]
+    lags = [(coeff, offset - alpha) for offset, coeff in stencil.terms]
     m1 = _exact_sum([coeff * lag for coeff, lag in lags])
     m2 = _exact_sum([coeff * lag * lag for coeff, lag in lags])
     z = (total - 1.0) + (1j * m1) * theta - (0.5 * m2) * theta ** 2
@@ -427,13 +443,12 @@ def _spectral_window(stencil: Stencil, n: int, reserve: int = 0):
     lo, hi = n * stencil.min_offset, n * stencil.max_offset
     if width == 0:
         # Pure shift: G^n is a single coefficient at n * min_offset.
-        with np.errstate(over="ignore"):
-            values = stencil.as_array() ** n
-        return GreenTable(n=n, min_offset=lo, values=values,
+        return GreenTable(n=n, min_offset=lo,
+                          values=_shift_powers(stencil, [n]),
                           method="spectral"), 0
     full = _spectral_size(n, width)
     alpha, size = _window_plan(stencil, n)
-    half = not any(c.imag for c in stencil.coefficients)
+    half = stencil.is_real
     # The window's envelope rates come from a real symbol expansion.
     size = full if size is None or not half else min(size, full)
     shift, frac = _drift(alpha, n)
@@ -493,7 +508,7 @@ def _sweep_entries(block: int, samples: int, size: int, n_max: int) -> int:
 
 def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float):
     """Norms of G^1..G^n_max on `size` points; None if a guard band fails."""
-    half = not any(c.imag for c in stencil.coefficients)
+    half = stencil.is_real
     samples = size // 2 + 1 if half else size
     block = min(_SWEEP_BLOCK, n_max)
     _check_budget(_sweep_entries(block, samples, size, n_max))
@@ -560,13 +575,9 @@ def spectral_sweep(stencil: Stencil, n_max: int):
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if stencil.support_width == 0:
-        try:
-            sums = np.asarray(
-                [stencil.coefficients[0] ** n for n in range(1, n_max + 1)])
-            with np.errstate(over="ignore"):
-                mags = np.abs(sums)
-        except OverflowError:   # Python's complex power raises, not inf
-            mags = np.asarray([math.inf])
+        sums = _shift_powers(stencil, range(1, n_max + 1))
+        with np.errstate(all="ignore"):
+            mags = np.abs(sums)
         if not np.isfinite(mags).all():
             raise ValueError(f"G^{n_max} overflows: the sweep has non-finite "
                              "norms")

@@ -65,15 +65,6 @@ EXCLUSION_RADIUS = 1e-3
 MARGIN_FLOOR = 256 * float(np.finfo(float).eps)
 
 
-def _trimmed(coeffs: np.ndarray, min_offset):
-    """Drop exactly-zero leading/trailing coefficients, tracking the offset."""
-    nonzero = np.flatnonzero(coeffs)
-    if not len(nonzero):
-        raise ValueError("stencil has no nonzero coefficient")
-    lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
-    return tuple(coeffs[lo:hi].tolist()), min_offset + lo
-
-
 @dataclass(frozen=True)
 class Stencil:
     """Coefficients a_l for l = min_offset .. min_offset + len(coefficients) - 1.
@@ -81,6 +72,13 @@ class Stencil:
     The first and last stored coefficients are nonzero; constructors trim
     exact zeros at the ends so the support is tight.  Non-finite
     coefficients, or coefficients whose sum overflows, raise ValueError.
+
+    The constructor also derives, once, what every route reads: the
+    read-only complex128 array that as_array returns, the exact sum that
+    coefficient_sum returns, `terms`, the (offset, coefficient) pairs of
+    the nonzero coefficients as Python numbers, and `is_real`, whether
+    every imaginary part is zero.  None of them is a field, so equality,
+    hashing and repr see the three fields alone.
     """
 
     min_offset: int
@@ -88,16 +86,27 @@ class Stencil:
     label: str = ""
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=complex)
+        coeffs = np.array(self.coefficients, dtype=complex)
         if not np.isfinite(coeffs).all():
             raise ValueError("stencil coefficients must be finite")
-        coeffs, lo = _trimmed(coeffs, self.min_offset)
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "min_offset", lo)
+        nonzero = np.flatnonzero(coeffs)
+        if not len(nonzero):
+            raise ValueError("stencil has no nonzero coefficient")
+        terms = tuple(zip([int(self.min_offset) + k for k in nonzero.tolist()],
+                          coeffs[nonzero].tolist()))
+        lo = int(nonzero[0])
+        coeffs = coeffs[lo:int(nonzero[-1]) + 1]
+        coeffs.flags.writeable = False
         try:
-            self.coefficient_sum()
+            total = complex(math.fsum(coeffs.real.tolist()),
+                            math.fsum(coeffs.imag.tolist()))
         except OverflowError:
             raise ValueError("stencil coefficient sum overflows") from None
+        # A frozen dataclass takes its derived state past __setattr__.
+        vars(self).update(min_offset=self.min_offset + lo,
+                          coefficients=tuple(coeffs.tolist()), _array=coeffs,
+                          _sum=total, terms=terms,
+                          is_real=not coeffs.imag.any())
 
     @property
     def max_offset(self) -> int:
@@ -112,7 +121,7 @@ class Stencil:
         return np.arange(self.min_offset, self.max_offset + 1)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.coefficients, dtype=complex)
+        return self._array
 
     def coefficient(self, offset: int) -> complex:
         if self.min_offset <= offset <= self.max_offset:
@@ -120,12 +129,13 @@ class Stencil:
         return 0.0
 
     def coefficient_sum(self) -> complex:
-        coeffs = self.as_array()
-        return complex(math.fsum(coeffs.real.tolist()),
-                       math.fsum(coeffs.imag.tolist()))
+        return self._sum
 
     def is_conservative(self) -> bool:
-        return abs(self.coefficient_sum() - 1.0) <= CONSERVATION_TOL
+        try:
+            return abs(self._sum - 1.0) <= CONSERVATION_TOL
+        except OverflowError:   # |sum - 1| exceeds the largest float
+            raise ValueError("stencil coefficient sum overflows") from None
 
     def reflected(self) -> "Stencil":
         """Spatial reflection a_l -> a_{-l}; flips the sign of odd cumulants."""
@@ -164,14 +174,13 @@ def beam_warming(lam: float) -> Stencil:
 def symbol_eval(stencil: Stencil, theta):
     """Evaluate F_a(theta) = sum_l a_l exp(i l theta); theta scalar or array.
 
-    Zero coefficients inside the support are skipped, so a sparse wide
+    The sum runs over the stencil's nonzero terms, so a sparse wide
     stencil costs one exponential per nonzero coefficient.
     """
     th = np.asarray(theta, dtype=float)
     out = np.zeros(th.shape, dtype=complex)
-    for offset, coeff in zip(stencil.offsets, stencil.coefficients):
-        if coeff:
-            out += coeff * np.exp(1j * offset * th)
+    for offset, coeff in stencil.terms:
+        out += coeff * np.exp(1j * offset * th)
     if np.isscalar(theta) or th.ndim == 0:
         return complex(out)
     return out
@@ -255,14 +264,9 @@ def _expansion(stencil: Stencil, normalization: complex = 1.0,
     symbol is never evaluated.  Raises ValueError when the power sums or
     the cumulants overflow.
     """
-    # Zero coefficients add only zeros to the exact sums, and fsum([]) is
-    # 0.0, so skipping them changes no bit.
-    pairs = [(l, c) for l, c in zip(
-        range(stencil.min_offset, stencil.max_offset + 1),
-        stencil.coefficients) if c]
     try:
-        m = [complex(math.fsum(l ** k * c.real for l, c in pairs),
-                     math.fsum(l ** k * c.imag for l, c in pairs))
+        m = [complex(math.fsum(l ** k * c.real for l, c in stencil.terms),
+                     math.fsum(l ** k * c.imag for l, c in stencil.terms))
              for k in range(1, 5)]
         if normalization != 1.0:
             m = [mk / normalization for mk in m]

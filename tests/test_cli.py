@@ -39,7 +39,7 @@ from dgreen.cli import (
 from dgreen.approx import ApproxParams, approx_G, approx_H
 from dgreen.green import (evolve, green_direct, green_spectral,
                           sample_step)
-from dgreen.stencil import assumption_audit
+from dgreen.stencil import assumption_audit, lax_wendroff
 
 
 def run(*argv):
@@ -195,6 +195,48 @@ class TestExitCodes:
                    "--custom", "0:0.5:0,400000:0.5:0",
                    "--out", str(tmp_path / "c.txt")) == EXIT_OK
         assert time.perf_counter() - start < 10.0
+
+    def test_sparse_wide_green_is_quick(self, tmp_path):
+        # The spectral route's lag loop runs over the two nonzero
+        # coefficients, not over the 400001 offsets between them.
+        out = tmp_path / "g.csv"
+        start = time.perf_counter()
+        assert run("green", "--scheme", "custom",
+                   "--custom", "0:0.5:0,400000:0.5:0", "--n", "1",
+                   "--out", str(out)) == EXIT_OK
+        assert time.perf_counter() - start < 10.0
+        _, rows = read_csv(out)
+        assert len(rows) == 400001 and {r[2] for r in rows} == {"0"}
+
+    def test_overflowing_difference_from_one_refused(self, tmp_path, capsys):
+        # The sum 1.7e308(1 + i) is finite, but |sum - 1| is not.
+        for argv in (("coeffs",), ("green", "--n", "1")):
+            out = tmp_path / "artifact"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run(*argv, "--scheme", "custom",
+                           "--custom", "0:1.7e308:1.7e308", "--out", str(out))
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                "error: stencil coefficient sum overflows\n")
+            assert not out.exists()
+
+    def test_bv_converts_coefficients_once(self, monkeypatch, capsys):
+        # Stencil converts its coefficient tuple to an array once; every
+        # route reads that array, its sum and its nonzero terms after.
+        coefficients = lax_wendroff(0.75).coefficients
+        conversions = []
+        for name in ("array", "asarray"):
+            def spy(obj, *args, _convert=getattr(np, name), **kwargs):
+                if isinstance(obj, tuple) and obj == coefficients:
+                    conversions.append(obj)
+                return _convert(obj, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, spy)
+        assert run("bv", "--lambda", "0.75",
+                   "--n-list", "100,1000") == EXIT_OK
+        capsys.readouterr()
+        assert len(conversions) == 1
 
     def test_strict_growth_failure(self, tmp_path):
         out = tmp_path / "up.json"
@@ -854,8 +896,7 @@ def test_public_names():
     assert defaulted == {
         "Stencil.__init__.label", "GridFunction.__init__.left_tail",
         "GridFunction.__init__.right_tail", "_expansion.normalization",
-        "_expansion.probe", "_spectral_window.reserve",
-        "envelope_reports.n_values"}
+        "_expansion.probe", "_spectral_window.reserve"}
 
 
 # Argument values for the fuzz: three draws in four ordinary, the rest zero,

@@ -1,5 +1,6 @@
 import bisect
 import functools
+import hashlib
 import re
 import tracemalloc
 import warnings
@@ -569,6 +570,55 @@ class TestSweep:
         assert np.max(np.abs(sums - 1.0)) <= 1e-11
         assert np.all(np.diff(l2) <= 1e-12)
         assert l2[0] <= 1.0 + 1e-12
+
+
+class TestCoefficientData:
+    """Every route reads the stencil's coefficient data from one place."""
+
+    @pytest.mark.parametrize("a", [0.9, -0.7, 0.3 + 0.4j])
+    def test_pure_shift_routes_agree(self, a):
+        s = Stencil(2, (a,))
+        n_values = [1, 99, 100, 101, 1500]
+        sums, l1, _, _ = spectral_sweep(s, n_values[-1])
+        for n, direct in zip(n_values, green._direct_tables(s, n_values)):
+            spectral = green_spectral(s, n)
+            assert spectral.min_offset == direct.min_offset == 2 * n
+            assert spectral.values.tobytes() == direct.values.tobytes()
+            assert sums[n - 1:n].tobytes() == direct.values.tobytes()
+            assert l1[n - 1] == abs(direct.values[0])
+            if isinstance(a, float):        # imaginary parts exactly +0.0
+                assert direct.values.imag.tobytes() == bytes(8)
+        if isinstance(a, float):
+            assert sums.imag.tobytes() == bytes(8 * len(sums))
+
+    @pytest.mark.parametrize("stencil,digests", [
+        (Stencil(0, (0.5, 0, 0, 0.5)), (
+            "bf5cdffb2beb000650ecfd660a4d27f48575d45d88dc5258e843ec44dd4fa3e9",
+            "e57caf536255da2c077af5d5ece12ec625b0b4a66aba1c3e6d67eab0ef87f030",
+            "3b466f4a454448595f3dca8b81f0d3490fa785285313b4c26a17fa1f1ae2120f")),
+        (Stencil(-2, (0.25, 0, 0.5, 0, 0.25)), (
+            "ecf4ed561faf2db987c78501e0d2f19b0b811d1552d56f65c23e2bf5764595b0",
+            "d21493991d32eb13f865746de4904216c59a36ddaf5e92041e9dc53ba2c48797",
+            "58e905cd4634459b25acf9dd9a0f637a250bf472b487bbd833dd6572042f7082")),
+        (Stencil(-1, (0.5 + 0.1j, 0, 0.5 - 0.1j)), (
+            "a350bfe9421bb330002596f9c03811b07f04aef5300468e2fbd7e6a098aa866a",
+            "9d991afb1627f5c950b42467b2e9c0d5793195882832679c4f1b82a7ab0f43ec",
+            "123c3ca98fcdabc387bf2ad78274940053e5f8c801ef960326f84ef1a3fd322c")),
+    ])
+    def test_interior_zeros_keep_bits(self, stencil, digests):
+        # sha256 of the direct and spectral tables at n = 1, 50, 400 and of
+        # the sweep to 400, recorded when the spectral route still carried
+        # the zero coefficients through its lag loop (numpy 2.4.6, x86-64).
+        def digest(arrays):
+            h = hashlib.sha256()
+            for a in arrays:
+                h.update(a.tobytes())
+            return h.hexdigest()
+
+        n_values = (1, 50, 400)
+        assert (digest(green_direct(stencil, n).values for n in n_values),
+                digest(green_spectral(stencil, n).values for n in n_values),
+                digest(spectral_sweep(stencil, 400))) == digests
 
 
 def alias_free_sweep(stencil, n_max):

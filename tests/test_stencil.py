@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 
@@ -93,6 +94,36 @@ class TestStencil:
             Stencil(0, (0.0, -0.0, 0j))
         with pytest.raises(ValueError, match="no nonzero"):
             Stencil(0, ())
+
+    def test_derived_state(self):
+        coeffs = np.array([0.0, 0.5, 0.0, -0.0, 0.5 + 0.25j, 0.0])
+        s = Stencil(-2, coeffs)
+        coeffs[1] = 7.0                 # the caller's array stays its own
+        assert coeffs.flags.writeable
+        assert s.as_array() is s.as_array()
+        assert not s.as_array().flags.writeable
+        assert s.as_array().tolist() == [0.5, 0j, -0.0, 0.5 + 0.25j]
+        assert s.terms == ((-1, 0.5 + 0j), (2, 0.5 + 0.25j))
+        assert all(type(l) is int and type(c) is complex for l, c in s.terms)
+        assert s.coefficient_sum() == 1 + 0.25j and not s.is_real
+        assert lax_wendroff(0.75).is_real and Stencil(0, (-0.0j, 1.0)).is_real
+        # Only the three fields take part in equality, hashing and repr.
+        assert [f.name for f in dataclasses.fields(Stencil)] == [
+            "min_offset", "coefficients", "label"]
+        same = Stencil(-1, (0.5, 0, 0, 0.5 + 0.25j))
+        assert same == s and hash(same) == hash(s)
+        assert repr(s) == ("Stencil(min_offset=-1, coefficients=((0.5+0j), "
+                           "0j, (-0+0j), (0.5+0.25j)), label='')")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.terms = ()
+
+    def test_difference_from_one_overflows(self):
+        # The sum is finite, but |sum - 1| exceeds the largest float.
+        s = Stencil(0, (1.7e308 + 1.7e308j,))
+        with pytest.raises(ValueError, match="coefficient sum overflows"):
+            s.is_conservative()
+        with pytest.raises(ValueError, match="coefficient sum overflows"):
+            assumption_audit(s)
 
     def test_conservative_sum(self):
         s = beam_warming(1.5)
