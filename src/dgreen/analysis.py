@@ -69,22 +69,29 @@ def _require_admissible_expansion(e: SymbolExpansion) -> None:
             f"c3 = {e.c3:.3e}, c4 = {e.c4:.3e}")
 
 
-def _sides(g: GreenTable, e: SymbolExpansion):
-    """x = |j - alpha*n| / n**(1/3) and the fast-side mask on g's support.
+def _one_sided(g: GreenTable, e: SymbolExpansion):
+    """g split at the front j = alpha*n: ((|G|, x) on the fast side,
+    (|G - approx_G|, x) on the oscillatory side), x = |j - alpha*n| / n**(1/3).
 
     For c3 > 0 the fast side is j - alpha*n >= 0 and the oscillatory side is
     j - alpha*n < 0; the sides switch with the sign of c3.  The front point
     itself belongs to the fast side.
     """
+    _require_admissible_expansion(e)
     d = g.offsets - e.alpha * g.n
+    x = np.abs(d) / g.n ** (1.0 / 3.0)
     fast = d >= 0.0 if e.c3 > 0 else d <= 0.0
-    return np.abs(d) / g.n ** (1.0 / 3.0), fast
-
-
-def _difference(g: GreenTable, e: SymbolExpansion) -> np.ndarray:
-    """|G - approx_G| on g's support."""
     params = ApproxParams.from_expansion(e)
-    return np.abs(g.values - approx_G(params, g.n, g.offsets))
+    difference = np.abs(g.values - approx_G(params, g.n, g.offsets))
+    return (np.abs(g.values)[fast], x[fast]), (difference[~fast], x[~fast])
+
+
+def _step_grid(n_values) -> list:
+    """The step counts, sorted; ValueError unless nonempty and all >= 1."""
+    n_values = sorted(int(n) for n in n_values)
+    if not n_values or n_values[0] < 1:
+        raise ValueError("n_values must be positive integers")
+    return n_values
 
 
 def _log_envelope(x: np.ndarray, n: int, c_used: float, power: float) -> np.ndarray:
@@ -138,15 +145,10 @@ def fit_decay_rate(g: GreenTable, e: SymbolExpansion, side: str) -> float:
     FIT_SAFETY so the fitted constant C, not the rate, carries the slack.
     Run this on the largest n of a study and reuse the rate for smaller n.
     """
-    _require_admissible_expansion(e)
-    x, fast = _sides(g, e)
-    if side == "fast":
-        q, mask = np.abs(g.values), fast
-    elif side == "difference":
-        q, mask = _difference(g, e), ~fast
-    else:
+    fast, difference = _one_sided(g, e)
+    if side not in ("fast", "difference"):
         raise ValueError("side must be 'fast' or 'difference'")
-    return _fit_rate(q[mask], x[mask])
+    return _fit_rate(*(fast if side == "fast" else difference))
 
 
 def check_bound1(g: GreenTable, e: SymbolExpansion, c_used: float) -> float:
@@ -156,10 +158,7 @@ def check_bound1(g: GreenTable, e: SymbolExpansion, c_used: float) -> float:
     for all j with j - alpha*n on the fast side (>= 0 for c3 > 0, <= 0 for
     c3 < 0), where x = |j - alpha*n| / n**(1/3).
     """
-    _require_admissible_expansion(e)
-    x, fast = _sides(g, e)
-    return _minimal_constant(np.abs(g.values)[fast], x[fast], g.n, c_used,
-                             0.25)
+    return _minimal_constant(*_one_sided(g, e)[0], g.n, c_used, 0.25)
 
 
 def check_bound2(g: GreenTable, e: SymbolExpansion, c_used: float) -> float:
@@ -169,10 +168,7 @@ def check_bound2(g: GreenTable, e: SymbolExpansion, c_used: float) -> float:
     x**(3/2)) for j - alpha*n on the oscillatory side (< 0 for c3 > 0,
     > 0 for c3 < 0).
     """
-    _require_admissible_expansion(e)
-    x, fast = _sides(g, e)
-    return _minimal_constant(_difference(g, e)[~fast], x[~fast], g.n, c_used,
-                             1.0)
+    return _minimal_constant(*_one_sided(g, e)[1], g.n, c_used, 1.0)
 
 
 @dataclass(frozen=True)
@@ -213,21 +209,14 @@ def envelope_reports(stencil: Stencil, n_values):
     if not audit.admissible:
         raise ValueError("stencil is not admissible for envelope analysis")
     e = audit.expansion
-    n_values = sorted(int(n) for n in n_values)
-    if not n_values or n_values[0] < 1:
-        raise ValueError("n_values must be positive integers")
-    # One pass per table; the largest one also feeds the rate fits.
-    fast_side, osc_side = {}, {}
-    for g in _direct_tables(stencil, n_values):
-        x, fast = _sides(g, e)
-        fast_side[g.n] = np.abs(g.values)[fast], x[fast]
-        osc_side[g.n] = _difference(g, e)[~fast], x[~fast]
-    c_fast = _fit_rate(*fast_side[n_values[-1]])
-    c_diff = _fit_rate(*osc_side[n_values[-1]])
-    pairs1 = [(n, _minimal_constant(*fast_side[n], n, c_fast, 0.25))
-              for n in n_values]
-    pairs2 = [(n, _minimal_constant(*osc_side[n], n, c_diff, 1.0))
-              for n in n_values]
+    n_values = _step_grid(n_values)
+    splits = [_one_sided(g, e) for g in _direct_tables(stencil, n_values)]
+    # Both rates come from the largest table, before any constant.
+    c_fast, c_diff = [_fit_rate(*side) for side in splits[-1]]
+    pairs1 = [(n, _minimal_constant(*fast, n, c_fast, 0.25))
+              for n, (fast, _) in zip(n_values, splits)]
+    pairs2 = [(n, _minimal_constant(*osc, n, c_diff, 1.0))
+              for n, (_, osc) in zip(n_values, splits)]
     return (_assemble_bound_report("right_tail", c_fast, pairs1),
             _assemble_bound_report("left_difference", c_diff, pairs2))
 
@@ -239,10 +228,8 @@ def corollary1_sums(g: GreenTable, e: SymbolExpansion):
     Both stay bounded uniformly in n even though the full l1 norm grows like
     n**(1/8); the growth lives entirely in the oscillatory side of G itself.
     """
-    _require_admissible_expansion(e)
-    _, fast = _sides(g, e)
-    return (float(np.sum(np.abs(g.values)[fast])),
-            float(np.sum(_difference(g, e)[~fast])))
+    (fast, _), (difference, _) = _one_sided(g, e)
+    return float(np.sum(fast)), float(np.sum(difference))
 
 
 @dataclass(frozen=True)
@@ -305,13 +292,17 @@ class BVReport:
     sup_cumsum_per_n[k] is sup over j of |sum_{l <= j} G_l^n| for the k-th
     step count from the spectral route; heaviside_linf_per_n holds the same
     number from the direct route, as the sup norm of the evolved Heaviside
-    sequence.
+    sequence.  max_identity_gap is the largest difference of the two routes
+    over the grid.  stable means sup_overall is within 1.5 times the median
+    of sup_cumsum_per_n, the uniformity proxy.
     """
 
     n_values: tuple
     sup_cumsum_per_n: tuple
-    sup_overall: float
     heaviside_linf_per_n: tuple
+    sup_overall: float
+    max_identity_gap: float
+    stable: bool
 
 
 def _grid_linf(u: GridFunction) -> float:
@@ -332,9 +323,7 @@ def bv_bounds(stencil: Stencil, n_values) -> BVReport:
     audit = assumption_audit(stencil)
     if not audit.admissible:
         raise ValueError("stencil is not admissible for bv analysis")
-    n_values = sorted(int(n) for n in n_values)
-    if not n_values or n_values[0] < 1:
-        raise ValueError("n_values must be positive integers")
+    n_values = _step_grid(n_values)
     total = abs(stencil.coefficient_sum())
     linfs = [max(float(np.max(np.abs(np.cumsum(g.values)))), total ** g.n)
              for g in _direct_tables(stencil, n_values)]
@@ -343,8 +332,12 @@ def bv_bounds(stencil: Stencil, n_values) -> BVReport:
         # Partial sums are 0 left of the window and constant right of it.
         g, _ = _spectral_window(stencil, n)
         sups.append(float(np.max(np.abs(np.cumsum(g.values)))))
-    return BVReport(n_values=tuple(n_values), sup_cumsum_per_n=tuple(sups),
-                    sup_overall=max(sups), heaviside_linf_per_n=tuple(linfs))
+    sup_overall = max(sups)
+    return BVReport(
+        n_values=tuple(n_values), sup_cumsum_per_n=tuple(sups),
+        heaviside_linf_per_n=tuple(linfs), sup_overall=sup_overall,
+        max_identity_gap=max(abs(a - b) for a, b in zip(sups, linfs)),
+        stable=sup_overall <= 1.5 * float(np.median(sups)))
 
 
 def total_variation(u: GridFunction) -> float:
@@ -365,9 +358,7 @@ def bv_apply_bound(stencil: Stencil, u: GridFunction, n_values):
     """
     if u.left_tail != 0:
         raise ValueError("bv_apply_bound needs a declared zero left tail")
-    n_values = sorted(int(n) for n in n_values)
-    if not n_values or n_values[0] < 1:
-        raise ValueError("n_values must be positive integers")
+    n_values = _step_grid(n_values)
     bv_norm = total_variation(u)
     sup_linf = 0.0
     done = 0

@@ -408,17 +408,7 @@ def cmd_bounds(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
 
 def cmd_bv(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
     report = bv_bounds(s, cfg.n_list or (100, 1000, 10000))
-    sups = report.sup_cumsum_per_n
-    stable = report.sup_overall <= 1.5 * float(np.median(sups))
-    gaps = [abs(a - b) for a, b in zip(sups, report.heaviside_linf_per_n)]
-    return _emit_json(cfg, s, {
-        "n_values": list(report.n_values),
-        "sup_cumsum_per_n": list(sups),
-        "heaviside_linf_per_n": list(report.heaviside_linf_per_n),
-        "sup_overall": report.sup_overall,
-        "max_identity_gap": max(gaps),
-        "stable": stable,
-    }, stable)
+    return _emit_json(cfg, s, dataclasses.asdict(report), report.stable)
 
 
 class _Command(NamedTuple):

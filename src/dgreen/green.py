@@ -549,9 +549,6 @@ def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float):
                      * _grid_sum(np.abs(rows[tail]), half) / size)
             if np.any(edges.max(axis=1) > floor):
                 return None
-    if not np.isfinite(l1).all():
-        raise ValueError(f"G^{n_max} overflows: the sweep has non-finite "
-                         "norms")
     return sums, l1, l2, linf
 
 
@@ -570,25 +567,25 @@ def spectral_sweep(stencil: Stencil, n_max: int):
     Every n whose support exceeds M must show its guard band at the
     rounding floor, else M doubles and the sweep reruns.  The memory budget
     is checked before every run against the arrays of one block plus the
-    outputs (_sweep_entries).
+    outputs (_sweep_entries); a pure shift holds the outputs alone.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if stencil.support_width == 0:
+        _check_budget(3 * n_max)
         sums = _shift_powers(stencil, range(1, n_max + 1))
         with np.errstate(all="ignore"):
             mags = np.abs(sums)
-        if not np.isfinite(mags).all():
-            raise ValueError(f"G^{n_max} overflows: the sweep has non-finite "
-                             "norms")
-        return sums, mags, mags.copy(), mags.copy()
-    _, size = _spectral_window(stencil, n_max)
-    alpha = _window_plan(stencil, n_max)[0]
-    while True:
-        result = _sweep_norms(stencil, n_max, size, alpha)
-        if result is not None:
-            return result
-        size *= 2
+        result = sums, mags, mags.copy(), mags.copy()
+    else:
+        _, size = _spectral_window(stencil, n_max)
+        alpha = _window_plan(stencil, n_max)[0]
+        while (result := _sweep_norms(stencil, n_max, size, alpha)) is None:
+            size *= 2
+    if not np.isfinite(result[1]).all():
+        raise ValueError(f"G^{n_max} overflows: the sweep has non-finite "
+                         "norms")
+    return result
 
 
 def _evolve_entries(cells: int, n: int, width: int) -> int:

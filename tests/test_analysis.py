@@ -114,6 +114,57 @@ class TestEnvelopeReports:
             envelope_reports(Stencil(0, (0.25, 0.75)), (100, 200))
 
 
+class TestOneSplit:
+    """Every reader of a table's two sides sees the same split at the front."""
+
+    @pytest.mark.parametrize("stencil", [
+        LW34, lax_wendroff(0.3), beam_warming(0.5), beam_warming(1.5)])
+    def test_readers_agree(self, stencil):
+        n_values = (250, 500, 1000)
+        e = expansion_coefficients(stencil)
+        tables = [green_direct(stencil, n) for n in n_values]
+        rep1, rep2 = envelope_reports(stencil, n_values)
+        assert rep1.c_used == fit_decay_rate(tables[-1], e, "fast")
+        assert rep2.c_used == fit_decay_rate(tables[-1], e, "difference")
+        assert rep1.C_fitted_per_n == tuple(
+            (g.n, check_bound1(g, e, rep1.c_used)) for g in tables)
+        assert rep2.C_fitted_per_n == tuple(
+            (g.n, check_bound2(g, e, rep2.c_used)) for g in tables)
+        for g in tables:
+            d = g.offsets - e.alpha * g.n
+            fast = d >= 0.0 if e.c3 > 0 else d <= 0.0
+            difference = np.abs(g.values - approx_G(
+                ApproxParams.from_expansion(e), g.n, g.offsets))
+            assert corollary1_sums(g, e) == (
+                float(np.sum(np.abs(g.values)[fast])),
+                float(np.sum(difference[~fast])))
+
+
+class TestStepGrid:
+    @pytest.mark.parametrize("n_values", [(), (0, 100), (-5,)])
+    def test_empty_or_nonpositive_refused(self, n_values):
+        step = GridFunction(0, (1.0,), left_tail=0.0, right_tail=1.0)
+        for check in (lambda: envelope_reports(LW34, n_values),
+                      lambda: bv_bounds(LW34, n_values),
+                      lambda: bv_apply_bound(LW34, step, n_values)):
+            with pytest.raises(ValueError,
+                               match="n_values must be positive integers"):
+                check()
+
+    def test_growth_nonpositive_refused(self):
+        with pytest.raises(ValueError, match="n_values must be positive"):
+            growth_series(LW34, (0, 100))
+
+    def test_duplicates_keep_their_rows(self):
+        rep1, rep2 = envelope_reports(LW34, (1000, 250, 250))
+        for rep in (rep1, rep2):
+            assert [n for n, _ in rep.C_fitted_per_n] == [250, 250, 1000]
+            assert rep.C_fitted_per_n[0] == rep.C_fitted_per_n[1]
+        rep = bv_bounds(LW34, (1000, 100, 100))
+        assert rep.n_values == (100, 100, 1000)
+        assert rep.sup_cumsum_per_n[0] == rep.sup_cumsum_per_n[1]
+
+
 class TestWorkCap:
     def test_reports_refused_before_loop(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -194,6 +245,15 @@ class TestBVBounds:
         gaps = [abs(a - b) for a, b in zip(rep.sup_cumsum_per_n,
                                            rep.heaviside_linf_per_n)]
         assert max(gaps) <= 1e-12
+
+    def test_verdict_in_report(self):
+        rep = bv_bounds(LW34, (100, 1000, 3000))
+        assert rep.max_identity_gap == max(
+            abs(a - b) for a, b in zip(rep.sup_cumsum_per_n,
+                                       rep.heaviside_linf_per_n))
+        assert rep.stable is (
+            rep.sup_overall <= 1.5 * float(np.median(rep.sup_cumsum_per_n)))
+        assert rep.stable
 
     def test_cumsum_telescopes_to_one(self):
         g = green_spectral(LW34, 200)

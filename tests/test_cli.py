@@ -85,6 +85,18 @@ class TestExitCodes:
     def test_lambda_out_of_range(self):
         assert run("coeffs", "--scheme", "lw", "--lambda", "1.5") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command,message", [
+        ("bounds", "n_values must be positive integers"),
+        ("bv", "n_values must be positive integers"),
+        ("growth", "n_values must be positive"),
+    ])
+    def test_nonpositive_step_count(self, capsys, command, message):
+        assert run(command, "--scheme", "lw", "--lambda", "0.75",
+                   "--n-list", "0,100") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_bad_format_for_command(self):
         assert run("coeffs", "--scheme", "lw", "--lambda", "0.75",
                    "--format", "csv") == EXIT_CONFIG
@@ -660,6 +672,12 @@ REPORT_SHA256 = {
         "373bee52740b228048b1b6291b8c237f923e1157351260b60229ed55d9abd6be",
     f"bv --scheme custom {LW5_CUSTOM} --n-list 100,1000,3000":
         "876d71504c2c832e5138011e104bb46a3723b98d2b0ea843603106adc59e9411",
+    # Duplicate step counts: each one keeps its own row, in grid order
+    # (numpy 2.4.6, x86-64).
+    "bounds --scheme lw --lambda 0.75 --n-list 250,250,1000":
+        "ed7bd92568cc98ccd2db6fc1579bb2424aac079c08a9699491693c7172dcfbf4",
+    "bv --scheme lw --lambda 0.75 --n-list 100,100,1000":
+        "1d033ceddb86f0e64bdd7f7d1655f4298b928d492c11ba993ab0d82d4ca6a8a8",
     # coeffs, green (both routes, CSV and JSON), evolve and growth as
     # written before each route read the stencil's coefficient data from
     # one place (numpy 2.4.6, x86-64).

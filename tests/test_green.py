@@ -565,6 +565,25 @@ class TestSweep:
         assert l1.tolist() == l2.tolist() == linf.tolist() == [
             0.5, 0.25, 0.125, 0.0625]
 
+    def test_pure_shift_budget_checked_before_powers(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a power was taken before the budget check")
+        monkeypatch.setattr(green, "_shift_powers", fail)
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "1")
+        with pytest.raises(MemoryBudgetError):
+            spectral_sweep(Stencil(0, (0.5,)), 10 ** 6)
+
+    def test_pure_shift_traced_peak_within_model(self):
+        # The model is the four outputs, three complex entries per n.
+        n_max = 10 ** 5
+        tracemalloc.start()
+        try:
+            spectral_sweep(Stencil(0, (0.5,)), n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 3 * n_max
+
     def test_sweep_conservation_and_contraction(self):
         sums, _, l2, _ = spectral_sweep(beam_warming(1.5), 300)
         assert np.max(np.abs(sums - 1.0)) <= 1e-11
