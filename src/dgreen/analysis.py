@@ -12,6 +12,7 @@ in the step count.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,9 +87,18 @@ def _one_sided(g: GreenTable, e: SymbolExpansion):
     return (np.abs(g.values)[fast], x[fast]), (difference[~fast], x[~fast])
 
 
+def _step_count(n) -> int:
+    """n as an int by operator.index, which takes Python and numpy integers
+    alone: 2.5 raises ValueError rather than truncating to 2, and so does a
+    bool, which operator.index would take as 0 or 1."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+        raise ValueError("n_values must be positive integers")
+    return operator.index(n)
+
+
 def _step_grid(n_values) -> list:
     """The step counts, sorted; ValueError unless nonempty and all >= 1."""
-    n_values = sorted(int(n) for n in n_values)
+    n_values = sorted(map(_step_count, n_values))
     if not n_values or n_values[0] < 1:
         raise ValueError("n_values must be positive integers")
     return n_values
@@ -258,7 +268,7 @@ def growth_series(stencil: Stencil, n_values) -> GrowthReport:
     ell (monotone schemes have l1 identically 1, so ratios decay like
     n**(-1/8)).
     """
-    n_values = [int(n) for n in n_values]
+    n_values = list(map(_step_count, n_values))
     if any(b <= a for a, b in zip(n_values, n_values[1:])) or not n_values:
         raise ValueError("n_values must be strictly increasing and nonempty")
     if n_values[0] < 1:
@@ -305,11 +315,6 @@ class BVReport:
     stable: bool
 
 
-def _grid_linf(u: GridFunction) -> float:
-    window = float(np.max(np.abs(np.asarray(u.values)))) if len(u.values) else 0.0
-    return max(window, abs(u.left_tail), abs(u.right_tail))
-
-
 def bv_bounds(stencil: Stencil, n_values) -> BVReport:
     """Sup of cumulative Green's sums per n, by two independent routes.
 
@@ -343,7 +348,7 @@ def bv_bounds(stencil: Stencil, n_values) -> BVReport:
 def total_variation(u: GridFunction) -> float:
     """Total variation of the bi-infinite sequence, tail jumps included."""
     vals = np.asarray(u.values)
-    inner = float(np.sum(np.abs(np.diff(vals)))) if len(vals) > 1 else 0.0
+    inner = float(np.sum(np.abs(np.diff(vals))))
     left_jump = abs(vals[0] - u.left_tail)
     right_jump = abs(u.right_tail - vals[-1])
     return inner + float(left_jump) + float(right_jump)
@@ -365,7 +370,8 @@ def bv_apply_bound(stencil: Stencil, u: GridFunction, n_values):
     for n in n_values:
         u = evolve(stencil, u, n - done)
         done = n
-        sup_linf = max(sup_linf, _grid_linf(u))
+        sup_linf = max(sup_linf, float(np.max(np.abs(u.values))),
+                       abs(u.left_tail), abs(u.right_tail))
     return sup_linf, bv_norm
 
 
@@ -388,8 +394,6 @@ def oscillation_side(g: GreenTable, e: SymbolExpansion) -> str:
     def alternations(mask):
         v = re[mask]
         v = v[np.abs(v) > floor]
-        if len(v) < 2:
-            return 0
         return int(np.count_nonzero(np.sign(v[:-1]) != np.sign(v[1:])))
 
     left = alternations(d < 0.0)

@@ -102,9 +102,9 @@ class RunConfig:
                 raise ValueError("evolve requires a finite --t >= 0")
             if not 0 < self.half_width < math.inf:
                 raise ValueError("evolve requires a finite --half-width > 0")
-            if self.lam is None:
-                raise ValueError(
-                    "evolve requires --lambda to size the time step")
+            if self.lam is None or not 0 < self.lam * self.dx < math.inf:
+                raise ValueError("evolve requires --lambda with a finite "
+                                 "time step --lambda * --dx > 0")
 
 
 def _parse_custom(text: str) -> tuple:
@@ -121,8 +121,6 @@ def _parse_custom(text: str) -> tuple:
             raise ValueError(f"duplicate custom offset {offset}")
         seen.add(offset)
         triplets.append((offset, float(parts[1]), float(parts[2])))
-    if not triplets:
-        raise ValueError("empty custom coefficient list")
     return tuple(triplets)
 
 
@@ -225,14 +223,13 @@ def _json_items(values: np.ndarray, level: int):
     """json's own text of each element of a 1-d array `level` deep, or None.
 
     json prints an int with int.__repr__ and a float with float.__repr__,
-    which is format(x, ""); a record is a row of its fields.  None for
-    other dtypes and for floats holding NaN or an infinity.
+    which is format(x, ""); a record is a row of its fields, which must
+    be ints or finite floats, as the stencil record's are.  None for other
+    dtypes and for floats holding NaN or an infinity.
     """
     if values.dtype.names:
         columns = [_json_items(values[name], level + 1)
                    for name in values.dtype.names]
-        if None in columns:
-            return None
         start, separator, end = _framing("[]", level + 1)
         return [start + separator.join(row) + end for row in zip(*columns)]
     if values.dtype.kind in "iu":

@@ -169,18 +169,20 @@ def _kernel(stencil: Stencil) -> np.ndarray:
 
 
 def _shift_powers(stencil: Stencil, n_values) -> np.ndarray:
-    """a^n of a pure shift a for each n of n_values, as complex128.
+    """a^n of a pure shift a for each n of the array n_values, as complex128.
 
-    Every route takes a pure shift's powers from here, so the routes agree
-    bit for bit and a real a gives exactly real powers.  Each power is its
-    own a ** n with an integer n: numpy squares for n = 2 but calls pow for
-    an array of exponents, which can differ in the last bit.  Powers that
-    overflow are inf or nan, which the callers refuse.
+    Every route takes a pure shift's powers from here, one np.power over the
+    exponents in place in an array of the kernel's dtype, so the routes
+    agree bit for bit and a real a gives exactly real powers.  For a real a
+    each power has the bits of its own a ** n; for a complex a at n = 2,
+    a ** 2 takes numpy's square loop, which can differ in the last bit.
+    The exponents are integers, or integral floats where n may pass int64:
+    numpy powers with a float64 exponent either way.  Powers that overflow
+    are inf or nan, which the callers refuse.
     """
-    kernel = _kernel(stencil)
+    powers = np.full(len(n_values), _kernel(stencil)[0])
     with np.errstate(all="ignore"):
-        return np.fromiter(((kernel ** n)[0] for n in n_values), kernel.dtype,
-                           len(n_values)).astype(complex)
+        return np.power(powers, n_values, out=powers).astype(complex)
 
 
 def _direct_tables(stencil: Stencil, n_values):
@@ -214,10 +216,10 @@ def _direct_tables(stencil: Stencil, n_values):
     if width == 0:
         # A pure shift: G^n is a^n alone, and a loop of up to WORK_LIMIT
         # steps would spend its time in call overhead.
-        for n in n_values:
+        powers = _shift_powers(stencil, np.array(n_values))
+        for n, power in zip(n_values, powers):
             yield GreenTable(n=n, min_offset=n * stencil.min_offset,
-                             values=_shift_powers(stencil, [n]),
-                             method="direct")
+                             values=np.array([power]), method="direct")
         return
     kernel = _kernel(stencil)
     buf = np.zeros(n_values[-1] * width + 1, dtype=kernel.dtype)
@@ -315,7 +317,7 @@ def _window_plan(stencil: Stencil, n: int):
     The length is None for non-conservative or degenerate stencils (kappa2
     != 0, c3 or c4 at their floors), which take the alias-free grid.
     """
-    e = _expansion(stencil, probe=False)
+    e = _expansion(stencil)
     if not (stencil.is_conservative() and e.kappa2 <= KAPPA2_TOL
             and e.nondegenerate):
         return e.alpha, None
@@ -444,7 +446,7 @@ def _spectral_window(stencil: Stencil, n: int, reserve: int = 0):
     if width == 0:
         # Pure shift: G^n is a single coefficient at n * min_offset.
         return GreenTable(n=n, min_offset=lo,
-                          values=_shift_powers(stencil, [n]),
+                          values=_shift_powers(stencil, np.array([float(n)])),
                           method="spectral"), 0
     full = _spectral_size(n, width)
     alpha, size = _window_plan(stencil, n)
@@ -481,8 +483,6 @@ def green_spectral(stencil: Stencil, n: int) -> GreenTable:
     exceed the budget (the DG_MEMORY_BUDGET_MB environment variable, else
     512 MB).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     support = n * stencil.support_width + 1
     window, _ = _spectral_window(stencil, n, support)
     values = np.zeros(support, dtype=complex)
@@ -573,7 +573,7 @@ def spectral_sweep(stencil: Stencil, n_max: int):
         raise ValueError("n_max must be >= 1")
     if stencil.support_width == 0:
         _check_budget(3 * n_max)
-        sums = _shift_powers(stencil, range(1, n_max + 1))
+        sums = _shift_powers(stencil, np.arange(1, n_max + 1))
         with np.errstate(all="ignore"):
             mags = np.abs(sums)
         result = sums, mags, mags.copy(), mags.copy()

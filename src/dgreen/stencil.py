@@ -254,15 +254,14 @@ class SymbolExpansion:
         return abs(self.c3) > C3_FLOOR and self.c4 > C4_FLOOR
 
 
-def _expansion(stencil: Stencil, normalization: complex = 1.0,
-               probe: bool = True) -> SymbolExpansion:
+def _expansion(stencil: Stencil,
+               normalization: complex = 1.0) -> SymbolExpansion:
     """Cumulant expansion of log(F_a / normalization) through order five.
 
     The cumulants come from the exact power sums m_k = sum_l l^k a_l over
     integer offsets, divided by the normalization.  residual5 comes from a
-    probe of the symbol near the origin; without `probe` it is NaN and the
-    symbol is never evaluated.  Raises ValueError when the power sums or
-    the cumulants overflow.
+    probe of the symbol near the origin.  Raises ValueError when the power
+    sums or the cumulants overflow.
     """
     try:
         m = [complex(math.fsum(l ** k * c.real for l, c in stencil.terms),
@@ -280,16 +279,14 @@ def _expansion(stencil: Stencil, normalization: complex = 1.0,
     if not all(map(math.isfinite, cumulants)):
         raise ValueError("the moments of the stencil coefficients overflow")
     alpha, kappa2, c3, c4 = cumulants
-    residual5 = math.nan
-    if probe:
-        # The model uses only the real cumulant parts, so any imaginary
-        # contamination (complex stencils) also lands in residual5.
-        theta = np.linspace(-0.1, 0.1, 41)
-        theta = theta[theta != 0.0]
-        symbol = symbol_eval(stencil, theta) / normalization
-        model = 1j * alpha * theta - 1j * c3 * theta ** 3 - c4 * theta ** 4
-        residual5 = float(np.max(np.abs(np.log(symbol) - model)
-                                 / np.abs(theta) ** 5))
+    # The model uses only the real cumulant parts, so any imaginary
+    # contamination (complex stencils) also lands in residual5.
+    theta = np.linspace(-0.1, 0.1, 41)
+    theta = theta[theta != 0.0]
+    symbol = symbol_eval(stencil, theta) / normalization
+    model = 1j * alpha * theta - 1j * c3 * theta ** 3 - c4 * theta ** 4
+    residual5 = float(np.max(np.abs(np.log(symbol) - model)
+                             / np.abs(theta) ** 5))
     return SymbolExpansion(alpha=alpha, kappa2=kappa2, c3=c3, c4=c4,
                            residual5=residual5)
 

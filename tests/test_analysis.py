@@ -141,7 +141,8 @@ class TestOneSplit:
 
 
 class TestStepGrid:
-    @pytest.mark.parametrize("n_values", [(), (0, 100), (-5,)])
+    @pytest.mark.parametrize("n_values", [(), (0, 100), (-5,), (2.5,),
+                                          (True, 100), (10.9, 100)])
     def test_empty_or_nonpositive_refused(self, n_values):
         step = GridFunction(0, (1.0,), left_tail=0.0, right_tail=1.0)
         for check in (lambda: envelope_reports(LW34, n_values),
@@ -151,9 +152,16 @@ class TestStepGrid:
                                match="n_values must be positive integers"):
                 check()
 
-    def test_growth_nonpositive_refused(self):
+    @pytest.mark.parametrize("n_values", [(0, 100), (2.5,), (True, 100),
+                                          (10.9, 100)])
+    def test_growth_nonpositive_refused(self, n_values):
         with pytest.raises(ValueError, match="n_values must be positive"):
-            growth_series(LW34, (0, 100))
+            growth_series(LW34, n_values)
+
+    def test_numpy_integers_pass(self):
+        n_values = (np.int32(100), np.int64(300))
+        assert bv_bounds(LW34, n_values).n_values == (100, 300)
+        assert growth_series(LW34, np.array(n_values)).n_values == (100, 300)
 
     def test_duplicates_keep_their_rows(self):
         rep1, rep2 = envelope_reports(LW34, (1000, 250, 250))

@@ -101,6 +101,13 @@ class TestExitCodes:
         assert run("coeffs", "--scheme", "lw", "--lambda", "0.75",
                    "--format", "csv") == EXIT_CONFIG
 
+    def test_empty_n_list(self, capsys):
+        assert run("bounds", "--scheme", "lw", "--lambda", "0.75",
+                   "--n-list", ",") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: empty n list\n"
+
     def test_bad_custom_triplet(self):
         assert run("coeffs", "--scheme", "custom",
                    "--custom", "0:1") == EXIT_CONFIG
@@ -525,6 +532,20 @@ class TestEvolve:
         assert run("evolve", "--scheme", "lw", "--lambda", "0.75",
                    "--dx", "0.1", "--t", "-1") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("stencil", [
+        ("--scheme", "custom", "--custom", "0:0.5:0,1:0.5:0"),
+        ("--scheme", "custom", "--custom", "0:0.5:0,1:0.5:0", "--lambda", "0"),
+        ("--scheme", "lw", "--lambda", "nan"),
+        ("--scheme", "bw", "--lambda", "-1"),
+    ])
+    def test_time_step_refused(self, capsys, stencil):
+        assert run("evolve", *stencil, "--dx", "0.1",
+                   "--t", "1") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: evolve requires --lambda with a "
+                                "finite time step --lambda * --dx > 0\n")
+
     @pytest.mark.parametrize("scheme", [
         ("--scheme", "lw", "--lambda", "0.75"),
         ("--scheme", "bw", "--lambda", "1.5"),
@@ -914,7 +935,7 @@ def test_public_names():
     assert defaulted == {
         "Stencil.__init__.label", "GridFunction.__init__.left_tail",
         "GridFunction.__init__.right_tail", "_expansion.normalization",
-        "_expansion.probe", "_spectral_window.reserve"}
+        "_spectral_window.reserve"}
 
 
 # Argument values for the fuzz: three draws in four ordinary, the rest zero,
@@ -986,6 +1007,11 @@ _CASES = {
     "growth --lambda 0.75 --growth-tol nan": EXIT_CONFIG,
     "green --scheme custom --custom=0:1:0 --n 1000000000 --method direct":
         EXIT_OK,
+    # A time step lambda * dx that is not a finite number > 0.
+    **{f"evolve --scheme custom --custom=0:0.5:0,1:0.5:0 --dx 0.1 --t 1 {lam}":
+       EXIT_CONFIG
+       for lam in ("--lambda 0", "--lambda 1e-300 --dx 1e-300",
+                   "--lambda -1", "--lambda inf", "--lambda nan")},
 }
 
 

@@ -125,6 +125,12 @@ class TestGreenTables:
         assert len(gd.values) == len(gs.values)
         assert np.max(np.abs(gd.values - gs.values)) <= 1e-10
 
+    def test_value_at_inside_support(self):
+        g = green_direct(lax_wendroff(0.75), 3)
+        assert [g.value_at(j) for j in g.offsets.tolist()] == \
+            g.values.tolist()
+        assert type(g.value_at(0)) is complex
+
     def test_value_at_outside_support(self):
         g = green_direct(lax_wendroff(0.75), 3)
         assert g.value_at(10) == 0.0
@@ -609,6 +615,30 @@ class TestCoefficientData:
                 assert direct.values.imag.tobytes() == bytes(8)
         if isinstance(a, float):
             assert sums.imag.tobytes() == bytes(8 * len(sums))
+
+    @pytest.mark.parametrize("a", [0.9, -0.7, 1.0000001, 1.5])
+    def test_real_pure_shift_powers_are_per_n_powers(self, a):
+        # One array power gives each n the bits of its own a ** n, the
+        # square at n = 2 and the overflow to inf included.
+        n_values = list(range(1, 2001))
+        with np.errstate(all="ignore"):
+            expected = [(np.array([a]) ** n)[0] for n in n_values]
+        powers = green._shift_powers(Stencil(0, (a,)), np.array(n_values))
+        assert powers.real.tolist() == expected
+        assert powers.imag.tobytes() == bytes(8 * len(n_values))
+
+    @pytest.mark.parametrize("a", [0.3 + 0.4j, -0.8753008417002488
+                                   - 0.05618056128241955j])
+    def test_complex_pure_shift_square_routes_agree(self, a):
+        # numpy's complex a ** 2 takes its square loop, which for the
+        # second a differs from np.power in the last bit; the routes all
+        # take np.power and agree.
+        s = Stencil(0, (a,))
+        direct = [g.values for g in green._direct_tables(s, [1, 2, 3])]
+        spectral = [green_spectral(s, n).values for n in (1, 2, 3)]
+        sums = spectral_sweep(s, 3)[0]
+        assert (np.concatenate(direct).tobytes()
+                == np.concatenate(spectral).tobytes() == sums.tobytes())
 
     @pytest.mark.parametrize("stencil,digests", [
         (Stencil(0, (0.5, 0, 0, 0.5)), (
