@@ -12,14 +12,13 @@ in the step count.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .approx import ApproxParams, approx_G, growth_constant
 from .green import (GreenTable, GridFunction, _direct_tables,
-                    _spectral_window, evolve)
+                    _spectral_window, _step_count, evolve)
 from .stencil import (
     KAPPA2_TOL,
     Stencil,
@@ -87,19 +86,10 @@ def _one_sided(g: GreenTable, e: SymbolExpansion):
     return (np.abs(g.values)[fast], x[fast]), (difference[~fast], x[~fast])
 
 
-def _step_count(n) -> int:
-    """n as an int by operator.index, which takes Python and numpy integers
-    alone: 2.5 raises ValueError rather than truncating to 2, and so does a
-    bool, which operator.index would take as 0 or 1."""
-    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
-        raise ValueError("n_values must be positive integers")
-    return operator.index(n)
-
-
 def _step_grid(n_values) -> list:
-    """The step counts, sorted; ValueError unless nonempty and all >= 1."""
+    """The step counts, each by green's rule, sorted; ValueError if empty."""
     n_values = sorted(map(_step_count, n_values))
-    if not n_values or n_values[0] < 1:
+    if not n_values:
         raise ValueError("n_values must be positive integers")
     return n_values
 
@@ -271,8 +261,6 @@ def growth_series(stencil: Stencil, n_values) -> GrowthReport:
     n_values = list(map(_step_count, n_values))
     if any(b <= a for a, b in zip(n_values, n_values[1:])) or not n_values:
         raise ValueError("n_values must be strictly increasing and nonempty")
-    if n_values[0] < 1:
-        raise ValueError("n_values must be positive")
     e = expansion_coefficients(stencil)
     if not e.nondegenerate:
         raise ValueError(

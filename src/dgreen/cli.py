@@ -33,6 +33,7 @@ from .green import (
     _check_budget,
     _check_work,
     _evolve_entries,
+    _step_count,
     evolve,
     green_direct,
     green_spectral,
@@ -309,6 +310,11 @@ def cmd_coeffs(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
 
 
 def cmd_green(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
+    # Before the route runs, which checks its own transforms: the table, the
+    # approx columns and the CSV or JSON text of its rows take up to about
+    # forty complex128 entries a row (the traced peak of a complex stencil,
+    # whose cells are all nonzero).
+    _check_budget(40 * (_step_count(cfg.n) * s.support_width + 1))
     if cfg.method == "direct":
         table = green_direct(s, cfg.n)
     else:

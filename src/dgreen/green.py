@@ -21,6 +21,7 @@ may be twice.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -81,7 +82,8 @@ class MemoryBudgetError(RuntimeError):
 
 
 class WorkBudgetError(RuntimeError):
-    """Raised when a convolution step loop would exceed WORK_LIMIT."""
+    """Raised when a convolution step loop would exceed WORK_LIMIT, or a
+    step count exceeds 2**53."""
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,26 @@ def _check_work(steps, start, width: int) -> None:
             f"the work cap of {WORK_LIMIT:.0e} entries touched")
 
 
+def _step_count(n) -> int:
+    """n as an int: the one rule by which every route and report takes a
+    step count.
+
+    operator.index takes Python and numpy integers alone, so 2.5 raises
+    ValueError rather than truncating to 2, and so does a bool, which
+    operator.index would take as 0 or 1, and any n < 1.  n > 2**53 raises
+    WorkBudgetError: the spectral and pure-shift routes carry n in float64,
+    which holds every integer up to 2**53 exactly, and for other stencils
+    such an n already exceeds the work cap or the memory budget.
+    """
+    if (isinstance(n, bool) or not hasattr(type(n), "__index__")
+            or operator.index(n) < 1):
+        raise ValueError("n_values must be positive integers")
+    if n > 2 ** 53:
+        raise WorkBudgetError("step counts above 2**53 are not exact in "
+                              "float64")
+    return operator.index(n)
+
+
 def _kernel(stencil: Stencil) -> np.ndarray:
     """The coefficient array, as float64 for real stencils."""
     kernel = stencil.as_array()
@@ -176,9 +198,7 @@ def _shift_powers(stencil: Stencil, n_values) -> np.ndarray:
     agree bit for bit and a real a gives exactly real powers.  For a real a
     each power has the bits of its own a ** n; for a complex a at n = 2,
     a ** 2 takes numpy's square loop, which can differ in the last bit.
-    The exponents are integers, or integral floats where n may pass int64:
-    numpy powers with a float64 exponent either way.  Powers that overflow
-    are inf or nan, which the callers refuse.
+    Powers that overflow are inf or nan, which the callers refuse.
     """
     powers = np.full(len(n_values), _kernel(stencil)[0])
     with np.errstate(all="ignore"):
@@ -253,9 +273,7 @@ def green_direct(stencil: Stencil, n: int) -> GreenTable:
     three complex tables of n * support_width + 1 entries exceed the
     memory budget.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return next(_direct_tables(stencil, [n]))
+    return next(_direct_tables(stencil, [_step_count(n)]))
 
 
 def _fft_length(needed: int) -> int:
@@ -439,14 +457,13 @@ def _spectral_window(stencil: Stencil, n: int, reserve: int = 0):
     real stencils, M otherwise) plus `reserve` entries the caller will
     allocate.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _step_count(n)
     width = stencil.support_width
     lo, hi = n * stencil.min_offset, n * stencil.max_offset
     if width == 0:
         # Pure shift: G^n is a single coefficient at n * min_offset.
         return GreenTable(n=n, min_offset=lo,
-                          values=_shift_powers(stencil, np.array([float(n)])),
+                          values=_shift_powers(stencil, np.array([n])),
                           method="spectral"), 0
     full = _spectral_size(n, width)
     alpha, size = _window_plan(stencil, n)
@@ -483,6 +500,7 @@ def green_spectral(stencil: Stencil, n: int) -> GreenTable:
     exceed the budget (the DG_MEMORY_BUDGET_MB environment variable, else
     512 MB).
     """
+    n = _step_count(n)
     support = n * stencil.support_width + 1
     window, _ = _spectral_window(stencil, n, support)
     values = np.zeros(support, dtype=complex)
@@ -569,8 +587,7 @@ def spectral_sweep(stencil: Stencil, n_max: int):
     is checked before every run against the arrays of one block plus the
     outputs (_sweep_entries); a pure shift holds the outputs alone.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = _step_count(n_max)
     if stencil.support_width == 0:
         _check_budget(3 * n_max)
         sums = _shift_powers(stencil, np.arange(1, n_max + 1))
@@ -613,11 +630,10 @@ def evolve(stencil: Stencil, u0: GridFunction, n: int) -> GridFunction:
     MemoryBudgetError when the table and the output window exceed the
     memory budget (_evolve_entries); both before anything is allocated.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    _check_work(n, len(u0.values), stencil.support_width)
     if n == 0:
         return u0
+    n = _step_count(n)
+    _check_work(n, len(u0.values), stencil.support_width)
     _check_budget(_evolve_entries(len(u0.values), n, stencil.support_width))
     g = green_direct(stencil, n).values
     u = u0.values

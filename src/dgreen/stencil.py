@@ -326,7 +326,10 @@ def assumption_audit(stencil: Stencil) -> AssumptionAudit:
     """
     total = stencil.coefficient_sum()
     sums_to_one = stencil.is_conservative()
-    normalization = total if not sums_to_one and total != 0 else 1.0
+    # A sum below the smallest normal float64 is taken as zero: dividing by
+    # it overflows the normalized symbol.
+    normalization = (total if not sums_to_one
+                     and abs(total) >= np.finfo(float).tiny else 1.0)
     expansion = _expansion(stencil, normalization)
     dissipative, min_margin = dissipation_check(stencil)
     admissible = (sums_to_one and dissipative

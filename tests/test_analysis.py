@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from dgreen.analysis import (
     total_variation,
 )
 from dgreen.approx import ApproxParams, approx_G, growth_constant
-from dgreen.green import (GreenTable, GridFunction, WorkBudgetError,
-                          green_direct, green_spectral)
+from dgreen.green import (GreenTable, GridFunction, WorkBudgetError, evolve,
+                          green_direct, green_spectral, spectral_sweep)
 from dgreen.stencil import Stencil, beam_warming, expansion_coefficients, lax_wendroff
 
 LW34 = lax_wendroff(0.75)
@@ -138,6 +139,41 @@ class TestOneSplit:
             assert corollary1_sums(g, e) == (
                 float(np.sum(np.abs(g.values)[fast])),
                 float(np.sum(difference[~fast])))
+
+
+STEP = GridFunction(0, (1.0,), left_tail=0.0, right_tail=1.0)
+
+# Every route and report that takes a step count, called with one count n.
+STEP_COUNT_READERS = {
+    "green_direct": lambda n: green_direct(LW34, n),
+    "green_spectral": lambda n: green_spectral(LW34, n),
+    "spectral_sweep": lambda n: spectral_sweep(LW34, n),
+    "evolve": lambda n: evolve(LW34, STEP, n),
+    "envelope_reports": lambda n: envelope_reports(LW34, (n,)),
+    "bv_bounds": lambda n: bv_bounds(LW34, (n,)),
+    "bv_apply_bound": lambda n: bv_apply_bound(LW34, STEP, (n,)),
+    "growth_series": lambda n: growth_series(LW34, (n,)),
+}
+
+
+@pytest.mark.parametrize("name", STEP_COUNT_READERS)
+class TestStepCountGate:
+    @pytest.mark.parametrize("n", [2.5, True, 0, -1])
+    def test_refused(self, name, n):
+        if name == "evolve" and n == 0:
+            assert evolve(LW34, STEP, n) is STEP
+            return
+        with pytest.raises(ValueError,
+                           match="n_values must be positive integers"):
+            STEP_COUNT_READERS[name](n)
+
+    def test_numpy_integer_same_bytes(self, name):
+        read = STEP_COUNT_READERS[name]
+        assert pickle.dumps(read(np.int64(300))) == pickle.dumps(read(300))
+
+    def test_past_float64_exact_range(self, name):
+        with pytest.raises(WorkBudgetError, match="2\\*\\*53"):
+            STEP_COUNT_READERS[name](2 ** 53 + 1)
 
 
 class TestStepGrid:

@@ -46,6 +46,26 @@ def run(*argv):
     return main(list(argv))
 
 
+def assert_traced_peak_within_check(monkeypatch, *argv):
+    """Run argv; cli checks the budget once, and the traced peak of the
+    whole run stays within that many complex128 entries."""
+    checked = []
+    check = cli._check_budget
+
+    def spy(entries):
+        checked.append(entries)
+        check(entries)
+
+    monkeypatch.setattr(cli, "_check_budget", spy)
+    tracemalloc.start()
+    try:
+        assert run(*argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(checked) == 1 and peak <= 16 * checked[0]
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#")
@@ -88,7 +108,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,message", [
         ("bounds", "n_values must be positive integers"),
         ("bv", "n_values must be positive integers"),
-        ("growth", "n_values must be positive"),
+        ("growth", "n_values must be positive integers"),
     ])
     def test_nonpositive_step_count(self, capsys, command, message):
         assert run(command, "--scheme", "lw", "--lambda", "0.75",
@@ -162,7 +182,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ("evolve", "--dx", "0.5", "--t", "1e300"),
         ("evolve", "--dx", "1e-300", "--t", "1"),
-        ("green", "--n", "1000000", "--method", "direct"),
+        ("green", "--n", "100000", "--method", "direct"),
     ])
     def test_work_cap(self, tmp_path, capsys, args):
         out = tmp_path / "o.csv"
@@ -359,6 +379,41 @@ class TestGreen:
 
     def test_requires_n(self):
         assert run("green", "--scheme", "lw", "--lambda", "0.75") == EXIT_CONFIG
+
+    def test_step_counts_exact_in_float64(self, capsys):
+        # (-1)^n of a pure shift is exact for every n up to 2**53; past it
+        # the step count is refused, not rounded to an even float.
+        argv = ("green", "--scheme", "custom", "--custom=0:-1:0", "--n")
+        assert run(*argv, str(2 ** 53 - 1)) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[2] == "0,-1,0,1,,"
+        assert run(*argv, str(2 ** 53 + 1)) == EXIT_MEMORY
+        assert capsys.readouterr() == (
+            "", "error: step counts above 2**53 are not exact in float64\n")
+
+    def test_budget_checked_before_route(self, tmp_path, monkeypatch, capsys):
+        # 4e5 rows of about forty complex128 entries each: 256 MB.
+        monkeypatch.setenv("DG_MEMORY_BUDGET_MB", "64")
+        out = tmp_path / "g.csv"
+        with mock.patch.object(cli, "green_spectral",
+                               side_effect=AssertionError):
+            assert run("green", "--lambda", "0.75", "--n", "200000",
+                       "--out", str(out)) == EXIT_MEMORY
+        assert capsys.readouterr().err == (
+            "error: the computation needs about 256 MB, budget is 64 MB\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("scheme", [
+        ("--lambda", "0.75"),
+        ("--scheme", "bw", "--lambda", "0.5"),
+        ("--scheme", "custom",
+         "--custom=-1:0.25:-0.05,0:0.5:0.1,1:0.25:-0.05"),
+    ])
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_traced_peak_within_checked_budget(self, tmp_path, monkeypatch,
+                                               scheme, output_format):
+        assert_traced_peak_within_check(
+            monkeypatch, "green", *scheme, "--n", "5000", "--format",
+            output_format, "--out", str(tmp_path / "g"))
 
 
 def reference_artifact(argv):
@@ -596,22 +651,8 @@ class TestEvolve:
     ])
     def test_traced_peak_within_checked_budget(self, tmp_path, monkeypatch,
                                                args):
-        checked = []
-        check = cli._check_budget
-
-        def spy(entries):
-            checked.append(entries)
-            check(entries)
-
-        monkeypatch.setattr(cli, "_check_budget", spy)
-        tracemalloc.start()
-        try:
-            assert run("evolve", *args, "--out",
-                       str(tmp_path / "ev.csv")) == EXIT_OK
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(checked) == 1 and peak <= 16 * checked[0]
+        assert_traced_peak_within_check(
+            monkeypatch, "evolve", *args, "--out", str(tmp_path / "ev.csv"))
 
     @pytest.mark.parametrize("args", [
         ("--dx", "0.1", "--t", "inf"),
@@ -995,8 +1036,8 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-# Inputs that ended in a traceback, a hang or a report with NaN or Infinity,
-# and the exit code each gives now.
+# Inputs that ended in a traceback, a hang, a warning, a wrong artifact or a
+# report with NaN or Infinity, and the exit code each gives now.
 _CASES = {
     "coeffs --scheme custom --custom=0:0.5:0,1000000000000:0.5:0": EXIT_MEMORY,
     "coeffs --scheme custom --custom=0:1e308:0,1:1e308:0": EXIT_CONFIG,
@@ -1007,6 +1048,20 @@ _CASES = {
     "growth --lambda 0.75 --growth-tol nan": EXIT_CONFIG,
     "green --scheme custom --custom=0:1:0 --n 1000000000 --method direct":
         EXIT_OK,
+    # Step counts past 2**53, the largest a float64 holds exactly.
+    **{f"{argv} 1{'0' * 400}": EXIT_MEMORY
+       for argv in ("green --lambda 0.75 --n",
+                    "green --lambda 0.75 --method direct --n",
+                    "green --scheme custom --custom=0:1:0 --n",
+                    "growth --lambda 0.75 --n-list",
+                    "bv --lambda 0.75 --n-list",
+                    "bounds --lambda 0.75 --n-list")},
+    "green --scheme custom --custom=0:-1:0 --n 9007199254740993": EXIT_MEMORY,
+    # Coefficient sums below the smallest normal float64.
+    **{f"coeffs --scheme custom --custom={custom} --format {output_format}":
+       EXIT_OK
+       for custom in ("0:1e-310:0", "0:1e-320:0,1:1e-320:0")
+       for output_format in ("text", "json")},
     # A time step lambda * dx that is not a finite number > 0.
     **{f"evolve --scheme custom --custom=0:0.5:0,1:0.5:0 --dx 0.1 --t 1 {lam}":
        EXIT_CONFIG
@@ -1028,14 +1083,17 @@ def test_cli_fuzz(argv, target):
     """Every run ends in a documented exit code, without a traceback.
 
     A failed run writes no artifact; exit 5 writes the report it judged.
-    Every JSON report is standard JSON, without NaN or Infinity.
+    Every JSON report is standard JSON, without NaN or Infinity.  Exit 0
+    and 5 write nothing to stderr, and a refusal after parsing writes one
+    `error: ` line; a warning, which the CLI would print, raises.
     """
     stdout, stderr = io.StringIO(), io.StringIO()
     # A small memory budget turns large tables into a quick exit 4.
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.dict(os.environ, {"DG_MEMORY_BUDGET_MB": "32"}), \
             contextlib.redirect_stdout(stdout), \
-            contextlib.redirect_stderr(stderr):
+            contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("error")
         path = os.path.join(tmp, "artifact")
         out = {"file": ["--out", path], "stdout": [],
                "missing": ["--out", os.path.join(tmp, "missing", "artifact")]}
@@ -1047,12 +1105,16 @@ def test_cli_fuzz(argv, target):
                 text = handle.read()
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INADMISSIBLE, EXIT_MEMORY,
                     EXIT_ACCEPTANCE)
-    assert "Traceback" not in stderr.getvalue()
+    err = stderr.getvalue()
+    assert "Traceback" not in err
     assert code == _CASES.get(" ".join(argv), code)
     if code in (EXIT_OK, EXIT_ACCEPTANCE):
+        assert err == ""
         assert written == (["artifact"] if target == "file" else [])
         text = text or stdout.getvalue()
         if text.startswith("{"):
             json.loads(text, parse_constant=_reject_constant)
     else:
         assert written == []
+        if not err.startswith("usage: "):
+            assert err.startswith("error: ") and err.count("\n") == 1
