@@ -63,6 +63,10 @@ def _erfc_cf(x: np.ndarray) -> np.ndarray:
     return np.exp(-x * x) / _SQRT_PI / (x + tail)
 
 
+# erfc(x) < 2^-54 for x >= 6, so 1 - erfc(x) rounds to 1 there.
+_ERF_ONE = 6.0
+
+
 def erf(x):
     """Error function, |error| <= 1e-12 over the real line; odd in x.
 
@@ -73,11 +77,11 @@ def erf(x):
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     mag = np.abs(arr)
-    out = np.empty_like(arr)
+    out = np.ones_like(arr)
     small = mag <= 2.0
     if small.any():
         out[small] = _erf_series(mag[small])
-    large = ~small
+    large = ~small & ~(mag >= _ERF_ONE)
     if large.any():
         out[large] = 1.0 - _erfc_cf(mag[large])
     out = np.copysign(out, arr)
@@ -183,11 +187,6 @@ def _ai_asymp_pos(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ai_neg_zeta(t: np.ndarray) -> np.ndarray:
-    # zeta = (2/3) t^{3/2}, t = -x; Ai's phase on x < 0 is zeta - pi/4.
-    return (2.0 / 3.0) * t ** 1.5
-
-
 # Of the asymptotic sums below, `odd` stays within 0.0064 of 0 and `even`
 # within 0.0004 of 1 on x <= -6.5 (zeta >= 11.04), so wherever |cos(phase)|
 # exceeds this margin, cos(phase) * even outweighs sin(phase) * odd and
@@ -197,7 +196,7 @@ _AI_SIGN_MARGIN = 0.05
 
 def _ai_asymp_neg(x: np.ndarray) -> np.ndarray:
     t = -x
-    zeta = _ai_neg_zeta(t)
+    zeta = (2.0 / 3.0) * t ** 1.5     # Ai's phase on x < 0 is zeta - pi/4
     even = np.ones_like(t)
     odd = np.zeros_like(t)
     term = np.ones_like(t)
@@ -210,13 +209,6 @@ def _ai_asymp_neg(x: np.ndarray) -> np.ndarray:
             odd += contrib
     phase = zeta - 0.25 * math.pi
     return (np.cos(phase) * even + np.sin(phase) * odd) / (_SQRT_PI * t ** 0.25)
-
-
-def _ai_asymp_neg_sign(x: np.ndarray) -> np.ndarray:
-    """The sign of _ai_asymp_neg(x), +1 or -1, from the phase alone; 0 where
-    |cos(phase)| is within _AI_SIGN_MARGIN of 0 and the sums decide it."""
-    cos = np.cos(_ai_neg_zeta(-x) - 0.25 * math.pi)
-    return np.where(np.abs(cos) > _AI_SIGN_MARGIN, np.sign(cos), 0.0)
 
 
 def airy_ai(x):
@@ -291,12 +283,95 @@ class ApproxParams:
         return cls.from_values(expansion.alpha, expansion.c3, expansion.c4)
 
 
-def _front_distance(params: ApproxParams, n: int, j):
-    """d = j - alpha*n as a 1-d array, and whether j was a scalar."""
+# Cells of j classified at once by approx_G and approx_H: the temporaries of
+# a block stay in cache, and below glibc's 128 KiB mmap threshold.
+_BLOCK = 1 << 13
+
+# exp(-x) is +0 for x > 745.14, so the Gaussian factor exp(-beta0 d^2 / n)
+# is +0 beyond the reach |d| = sqrt(_EXP_REACH n / beta0).  The slack of
+# 0.06% in |d| covers the rounding of every test against the reach.
+_EXP_REACH = 746.0
+
+# exp(-zeta) underflows at x ~ 107.7, beyond which airy_ai returns +0.
+_AI_ZERO = 110.0
+
+# Beyond the reach, and ahead of the front past _AI_ZERO for H, the value is
+# +0 times a factor signed like cos(2 pi turns), turns = a^{3/2} - 1/8.  The
+# classifier's turns agree with the phase the formulas pass to cos to about
+# ten ulp of the turn count, ~1e-10 turns at n = 1e6; a cell takes the
+# signed zero only where its turns lie farther than the margin plus
+# _PHASE_REL times the block's largest turn count from a zero of the
+# cosine, and the formula runs on every other cell.  G~'s sign is that of
+# cos itself, so any margin above the rounding serves; Ai's is that of its
+# asymptotic sums, decided where |cos| > _AI_SIGN_MARGIN.
+_G_MARGIN = 1e-6
+_AI_MARGIN = math.asin(_AI_SIGN_MARGIN) / (2.0 * math.pi)
+_PHASE_REL = 2.0 ** -40
+_AI_SCALE = (3.0 * math.pi) ** (-2.0 / 3.0)
+
+
+def _cos_sign(a: np.ndarray, margin: float, out: np.ndarray) -> np.ndarray:
+    """Write the zero signed like cos(2 pi turns), turns = a^{3/2} - 1/8,
+    to out, and return where the margin decides that sign.
+
+    cos(2 pi turns) = cos(2 pi r), r = turns - rint(turns), so q = 1/4 - |r|
+    has its sign and |q| is the distance in turns to the nearest zero.  NaN
+    or infinite turns decide no cell.
+    """
+    turns = np.sqrt(a) * a - 0.125
+    q = 0.25 - np.abs(turns - np.rint(turns))
+    np.copysign(0.0, q, out=out)
+    return np.abs(q) > margin + _PHASE_REL * np.max(turns)
+
+
+def _signed_zero_pass(params: ApproxParams, n: int, j, margin: float,
+                      classify, formula):
+    """approx_G or approx_H over j, in blocks of _BLOCK cells.
+
+    classify(d, reach), d = j - alpha n, gives each cell its a >= 0 and
+    marks the cells whose value is +0 times a factor signed like
+    cos(2 pi (a^{3/2} - 1/8)).  formula(params, n, d) runs once, on every
+    other cell and on the marked cells whose sign the cosine's margin does
+    not decide.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    jarr = np.asarray(j, dtype=float)
-    return np.atleast_1d(jarr) - params.alpha * n, jarr.ndim == 0
+    jarr = np.asarray(j)
+    flat = jarr.ravel()
+    shift = params.alpha * n
+    reach = math.sqrt(_EXP_REACH * n / params.beta0)
+    out = np.empty(flat.shape)
+    exact = np.empty(flat.shape, dtype=bool)
+    # An infinite or huge d overflows or gives NaN turns, which decide no
+    # cell of its block; the formula reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(flat), _BLOCK):
+            rows = slice(lo, lo + _BLOCK)
+            a, zero = classify(np.asarray(flat[rows], dtype=float) - shift,
+                               reach)
+            zero &= _cos_sign(a, margin, out[rows])
+            np.logical_not(zero, out=exact[rows])
+    out[exact] = formula(params, n, np.asarray(flat[exact], dtype=float)
+                         - shift)
+    return float(out[0]) if jarr.ndim == 0 else out.reshape(jarr.shape)
+
+
+def _g_formula(params: ApproxParams, n: int, d: np.ndarray) -> np.ndarray:
+    """G~ at the front distances d; 0 at d = 0."""
+    ad = np.abs(d)
+    c3n = 3.0 * params.c3_abs * n
+    out = np.zeros_like(ad)
+    nz = ad > 0.0
+    adn = ad[nz]
+    with np.errstate(under="ignore"):
+        gauss = np.exp(-params.beta0 * d[nz] ** 2 / n)
+        osc = np.cos(params.beta1 * adn ** 1.5 / math.sqrt(n) - 0.25 * math.pi)
+        # integral_{-B}^{B} e^{-A u^2} du = sqrt(pi/A) erf(sqrt(A) B),
+        # A = sqrt(3 c3 n |d|), B = sqrt(2 |d| / (3 c3 n)).
+        window = (_SQRT_PI / (c3n * adn) ** 0.25
+                  * erf(math.sqrt(2.0) * adn ** 0.75 / c3n ** 0.25))
+        out[nz] = gauss * osc * window / math.pi
+    return out
 
 
 def approx_G(params: ApproxParams, n: int, j):
@@ -307,27 +382,22 @@ def approx_G(params: ApproxParams, n: int, j):
     is even in j - alpha n, so the reflection is the identity on values.
     Exactly zero at j = alpha n.
     """
-    d, scalar = _front_distance(params, n, j)
-    ad = np.abs(d)
-    c3n = 3.0 * params.c3_abs * n
-    out = np.zeros_like(ad)
-    nz = ad > 0.0
-    adn = ad[nz]
+    def classify(d, reach):
+        # cos(beta1 |d|^{3/2} / sqrt(n) - pi/4) = cos(2 pi (a^{3/2} - 1/8))
+        scale = (params.beta1 / (2.0 * math.pi * math.sqrt(n))) ** (2.0 / 3.0)
+        a = np.abs(d) * scale
+        return a, a > reach * scale
+
+    return _signed_zero_pass(params, n, j, _G_MARGIN, classify, _g_formula)
+
+
+def _h_formula(params: ApproxParams, n: int, d: np.ndarray) -> np.ndarray:
+    """H at the front distances d."""
+    z = (3.0 * params.c3_abs * n) ** (1.0 / 3.0)
     with np.errstate(under="ignore"):
-        gauss = np.exp(-params.beta0 * d[nz] ** 2 / n)
-        osc = np.cos(params.beta1 * adn ** 1.5 / math.sqrt(n) - 0.25 * math.pi)
-        # integral_{-B}^{B} e^{-A u^2} du = sqrt(pi/A) erf(sqrt(A) B),
-        # A = sqrt(3 c3 n |d|), B = sqrt(2 |d| / (3 c3 n)).  The window is
-        # finite and positive, so where gauss underflows to 0 the product
-        # is the signed zero gauss * osc, and window = 1 gives that same
-        # zero.  It is evaluated only where gauss > 0, O(sqrt(n)) points.
-        window = np.ones_like(adn)
-        live = gauss > 0.0
-        adn = adn[live]
-        window[live] = (_SQRT_PI / (c3n * adn) ** 0.25
-                        * erf(math.sqrt(2.0) * adn ** 0.75 / c3n ** 0.25))
-        out[nz] = gauss * osc * window / math.pi
-    return float(out[0]) if scalar else out
+        # exp(-beta0 d^2 / n) behind the front; exp(-0.0) = 1 ahead of it.
+        damping = np.exp(-params.beta0 * np.minimum(d, 0.0) ** 2 / n)
+        return airy_ai(d / z) / z * damping
 
 
 def approx_H(params: ApproxParams, n: int, j):
@@ -337,25 +407,20 @@ def approx_H(params: ApproxParams, n: int, j):
     front (d < 0) the value carries the extra Gaussian factor
     exp(-c4 d^2 / (9 c3^2 n)).
     """
-    d, scalar = _front_distance(params, n, j)
     if params.c3_sign < 0:
         raise ValueError("approx_H requires c3 > 0; "
                          "no front profile is defined for c3 < 0")
-    z = (3.0 * params.c3_abs * n) ** (1.0 / 3.0)
-    with np.errstate(under="ignore"):
+
+    def classify(d, reach):
+        z = (3.0 * params.c3_abs * n) ** (1.0 / 3.0)
         x = d / z
-        # exp(-beta0 d^2 / n) behind the front; exp(-0.0) = 1 ahead of it.
-        damping = np.exp(-params.beta0 * np.minimum(d, 0.0) ** 2 / n)
-        # Where the damping underflows, H is the zero Ai(x) / z * 0, signed
-        # like Ai(x).  Far behind the front that sign comes from the phase,
-        # so the series run only where the sign is close to a zero of Ai.
-        dead = (damping == 0.0) & (x <= _MACLAURIN_LO)
-        sign = np.zeros_like(x)
-        sign[dead] = _ai_asymp_neg_sign(x[dead])
-        vals = np.copysign(0.0, sign)
-        rest = sign == 0.0
-        vals[rest] = airy_ai(x[rest]) / z * damping[rest]
-    return float(vals[0]) if scalar else vals
+        # On Ai's oscillatory range x <= _MACLAURIN_LO its sign is that of
+        # cos((2/3) |x|^{3/2} - pi/4) = cos(2 pi (a^{3/2} - 1/8)).  a = 0
+        # ahead of the front gives the +0 of Ai far ahead.
+        return (np.fmax(x * -_AI_SCALE, 0.0),
+                (x < min(-reach / z, _MACLAURIN_LO)) | (x > _AI_ZERO))
+
+    return _signed_zero_pass(params, n, j, _AI_MARGIN, classify, _h_formula)
 
 
 def growth_constant(c3_abs: float, c4: float) -> float:

@@ -51,7 +51,7 @@ EXIT_ACCEPTANCE = 5
 
 SCHEMA_VERSION = 1
 
-# Rows of the evolve CSV whose cells are formatted at once.
+# Rows of a green or evolve CSV whose cells are formatted at once.
 _CSV_BLOCK = 1024
 
 
@@ -173,7 +173,7 @@ def _cells(values, spec: str = ".17g") -> list:
     return cells.tolist()
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, *chunks: str) -> None:
     directory, name = os.path.split(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp",
                                dir=directory)
@@ -183,7 +183,7 @@ def _atomic_write(path: str, text: str) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -193,11 +193,12 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: RunConfig, *chunks: str) -> None:
+    """Write the artifact, the concatenation of chunks, to its output."""
     if cfg.output_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        _atomic_write(cfg.output_path, text)
+        _atomic_write(cfg.output_path, *chunks)
 
 
 def _scheme_meta(cfg: RunConfig) -> str:
@@ -277,6 +278,24 @@ def _emit_json(cfg: RunConfig, s: Stencil, fields: dict,
     return EXIT_ACCEPTANCE if cfg.strict and not accepted else EXIT_OK
 
 
+def _emit_csv(cfg: RunConfig, header: str, columns: list) -> int:
+    """Write the header, then one row per entry of the equal-length columns:
+    integers as str, floats as _cells gives them, None as empty cells.
+
+    Rows are formatted _CSV_BLOCK at a time, so that only the text grows
+    with the table.
+    """
+    chunks = [header]
+    for lo in range(0, len(columns[0]), _CSV_BLOCK):
+        rows = slice(lo, lo + _CSV_BLOCK)
+        cells = [itertools.repeat("") if col is None
+                 else map(str, col[rows].tolist()) if col.dtype.kind == "i"
+                 else _cells(col[rows]) for col in columns]
+        chunks.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    _emit(cfg, *chunks)
+    return EXIT_OK
+
+
 def cmd_coeffs(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
     e = audit.expansion
     if cfg.output_format == "json":
@@ -339,16 +358,9 @@ def cmd_green(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
             "approx_G": g_col,
             "approx_H": h_col,
         })
-    columns = [map(str, offsets.tolist()), _cells(values.real),
-               _cells(values.imag), _cells(mags)]
-    columns += [itertools.repeat("") if col is None else _cells(col)
-                for col in (g_col, h_col)]
-    lines = [f"# dgreen green {_scheme_meta(cfg)} n={cfg.n} "
-             f"method={table.method}",
-             "j,re,im,abs,approx_G,approx_H"]
-    lines.extend(map(",".join, zip(*columns)))
-    _emit(cfg, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _emit_csv(cfg, f"# dgreen green {_scheme_meta(cfg)} n={cfg.n} "
+                     f"method={table.method}\nj,re,im,abs,approx_G,approx_H\n",
+                     [offsets, values.real, values.imag, mags, g_col, h_col])
 
 
 def cmd_evolve(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
@@ -362,8 +374,8 @@ def cmd_evolve(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
     n = max(0, math.ceil(steps - 1e-9))
     j_half = math.ceil(cfg.half_width / cfg.dx)
     # Before anything is allocated: the step data, evolve's table and
-    # arrays, and the CSV of the output window, whose columns, lines and
-    # text take about twelve complex128 entries a row.
+    # arrays, and the CSV of the output window, whose columns and text
+    # take about twelve complex128 entries a row.
     cells = 2 * j_half + 3
     _check_budget(cells + _evolve_entries(cells, n, s.support_width)
                   + 12 * (cells + n * s.support_width))
@@ -374,17 +386,9 @@ def cmd_evolve(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
     u0_col = sample_step(cfg.dx, cfg.half_width, un.min_index,
                          un.max_index).values.real
     x = (np.arange(un.min_index, un.max_index + 1) + 0.5) * cfg.dx
-    lines = [f"# dgreen evolve {_scheme_meta(cfg)} dx={cfg.dx!r} "
-             f"t={cfg.t_final!r} half_width={cfg.half_width!r} n={n}",
-             "x,u0,un"]
-    # Cells are formatted a block of rows at a time, so that only the lines
-    # grow with the window, as the budget check above assumes.
-    for lo in range(0, len(x), _CSV_BLOCK):
-        rows = slice(lo, lo + _CSV_BLOCK)
-        lines.extend(map(",".join, zip(_cells(x[rows]), _cells(u0_col[rows]),
-                                       _cells(un.values.real[rows]))))
-    _emit(cfg, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _emit_csv(cfg, f"# dgreen evolve {_scheme_meta(cfg)} dx={cfg.dx!r} "
+                     f"t={cfg.t_final!r} half_width={cfg.half_width!r} "
+                     f"n={n}\nx,u0,un\n", [x, u0_col, un.values.real])
 
 
 def cmd_growth(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
@@ -492,6 +496,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value starting with one '-' for an option, as in
+    # --custom -1:0.5:0,...; glued to its flag the value is one argument.
+    for k in reversed(range(len(argv) - 1)):
+        if (argv[k] == "--custom" and argv[k + 1].startswith("-")
+                and not argv[k + 1].startswith("--")):
+            argv[k:k + 2] = ["--custom=" + argv[k + 1]]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -317,9 +317,13 @@ def _check_budget(entries: int) -> None:
                          f"MB > 0, got {text!r}")
     needed_mb = 16 * entries / 1e6
     if needed_mb > budget:
+        # Three significant digits, or as many more as it takes for the
+        # need to read above the budget.
+        digits = next(k for k in range(3, 18) if float(f"{needed_mb:.{k}g}")
+                      > float(f"{budget:.{k}g}"))
         raise MemoryBudgetError(
-            f"the computation needs about {needed_mb:.3g} MB, budget is "
-            f"{budget:.3g} MB")
+            f"the computation needs about {needed_mb:.{digits}g} MB, budget "
+            f"is {budget:.{digits}g} MB")
 
 
 def _drift(alpha: float, n: int):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
@@ -93,10 +95,16 @@ def quad_G(params, n, j):
     return gauss * osc * integral / math.pi
 
 
+def front_distance(params, n, j):
+    """d = j - alpha*n as a 1-d float array, and whether j was a scalar."""
+    jarr = np.asarray(j, dtype=float)
+    return np.atleast_1d(jarr) - params.alpha * n, jarr.ndim == 0
+
+
 def approx_G_everywhere(params, n, j):
     """approx_G with its erf window evaluated at every point, also where
     the Gaussian factor underflows: the reference for approx_G's bits."""
-    d, scalar = approx._front_distance(params, n, j)
+    d, scalar = front_distance(params, n, j)
     ad = np.abs(d)
     c3n = 3.0 * params.c3_abs * n
     out = np.zeros_like(ad)
@@ -127,7 +135,7 @@ def ai_asymp_pos_everywhere(x):
 def approx_H_everywhere(params, n, j):
     """approx_H with Ai evaluated at every point, also where the damping or
     exp(-zeta) underflows: the reference for approx_H's bits."""
-    d, scalar = approx._front_distance(params, n, j)
+    d, scalar = front_distance(params, n, j)
     z = (3.0 * params.c3_abs * n) ** (1.0 / 3.0)
     with np.errstate(under="ignore"):
         x = d / z
@@ -165,6 +173,14 @@ class TestErf:
 
     def test_scalar_type(self):
         assert isinstance(erf(0.7), float)
+
+    def test_one_from_six(self):
+        # Where erf returns 1 without the continued fraction, 1 - erfc
+        # already rounds to 1.
+        x = np.concatenate([np.linspace(approx._ERF_ONE, 7.0, 10001),
+                            np.geomspace(7.0, 1e150, 1001)])
+        assert np.all(1.0 - approx._erfc_cf(x) == 1.0)
+        assert np.all(erf(x) == 1.0) and np.all(erf(-x) == -1.0)
 
 
 class TestAiryAi:
@@ -221,10 +237,12 @@ class TestAiryAi:
                                         400001),
                             special.ai_zeros(2000)[0]])
         x = x[x <= approx._MACLAURIN_LO]
-        sign = approx._ai_asymp_neg_sign(x)
+        zeros = np.empty_like(x)
+        decided = approx._cos_sign(x * -approx._AI_SCALE, approx._AI_MARGIN,
+                                   zeros)
         full = approx._ai_asymp_neg(x)
-        decided = sign != 0.0
-        assert np.array_equal(sign[decided], np.sign(full[decided]))
+        assert np.array_equal(np.copysign(1.0, zeros[decided]),
+                              np.sign(full[decided]))
         assert 0.02 < np.mean(~decided) < 0.05
         assert not decided[-1000:].any()
 
@@ -390,19 +408,98 @@ class TestUnderflowBits:
             assert np.signbit(col[zeros]).any()
             assert not np.signbit(col[zeros]).all()
 
-    def test_traced_peak_approx_G(self):
-        # 2e6 + 1 offsets: the inputs and output plus a handful of
-        # temporaries; evaluating the window everywhere took 14 arrays.
+    @pytest.mark.parametrize("func", [approx_G, approx_H])
+    def test_traced_peak(self, func):
+        # 2e6 + 1 offsets: the output, one flag a cell and the formula's
+        # temporaries on O(sqrt(n)) cells, 1.5 (G) and 1.7 (H) times the
+        # input's bytes; whole-array masks and factors took 7.3 and 7.4.
         stencil = lax_wendroff(0.6)
         j = _table_offsets(stencil, 1_000_000)
         p = ApproxParams.from_expansion(expansion_coefficients(stencil))
         tracemalloc.start()
         try:
-            approx_G(p, 1_000_000, j)
+            func(p, 1_000_000, j)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * j.nbytes
+        assert peak <= 2 * j.nbytes
+
+
+def _formula_spy(monkeypatch, name):
+    """Record the front distances each call of approx.<name> receives."""
+    seen = []
+    formula = getattr(approx, name)
+
+    def spy(params, n, d):
+        seen.append(d.copy())
+        return formula(params, n, d)
+
+    monkeypatch.setattr(approx, name, spy)
+    return seen
+
+
+def _reach(p, n):
+    return math.sqrt(approx._EXP_REACH * n / p.beta0)
+
+
+class TestClassifier:
+    """The formulas run only where a value can differ from the signed zero
+    the classifier gives: within the Gaussian's reach, ahead of the Airy
+    front before Ai underflows, and next to the zeros of the cosine."""
+
+    @settings(max_examples=30, derandomize=True, deadline=None,
+              database=None)
+    @given(kind=st.sampled_from(["lw", "bw"]),
+           lam=st.floats(1e-4, 1.0 - 1e-4),
+           upper=st.booleans(), n=st.integers(1, 200_000))
+    def test_bits_match_everywhere_references(self, kind, lam, upper, n):
+        # LW lambda in (0, 1); BW lambda in (0, 1) or (1, 2), away from
+        # the ends, where c3 or c4 rounds to 0.
+        stencil = (lax_wendroff(lam) if kind == "lw"
+                   else beam_warming(lam + 1.0 if upper else lam))
+        TestUnderflowBits.check(stencil, n, _table_offsets(stencil, n))
+
+    def test_phase_zeros_fall_back(self, monkeypatch):
+        # Float offsets within a few ulps of the zeros of both cosines,
+        # beyond the reach, where a cheap phase could give either sign.
+        stencil = lax_wendroff(0.6)
+        p = ApproxParams.from_expansion(expansion_coefficients(stencil))
+        n = 100_000
+        reach = _reach(p, n)
+        z = (3.0 * p.c3_abs * n) ** (1.0 / 3.0)
+        m = np.arange(4000.0)
+        # G~: beta1 |d|^{3/2} / sqrt(n) - pi/4 = pi/2 + m pi.
+        g_dist = ((0.75 + m) * math.pi * math.sqrt(n) / p.beta1) ** (2 / 3)
+        # Ai: (2/3) t^{3/2} - pi/4 = pi/2 + m pi at x = -t = d / z.
+        h_dist = (1.5 * (0.75 + m) * math.pi) ** (2 / 3) * z
+        for name, dist, sides in (("_g_formula", g_dist, (-1.0, 1.0)),
+                                  ("_h_formula", h_dist, (-1.0,))):
+            dist = dist[dist > 1.01 * reach][:200]
+            assert len(dist) == 200
+            j = np.concatenate([p.alpha * n + side * dist for side in sides])
+            for _ in range(3):     # and the three floats on either side
+                j = np.unique(np.concatenate(
+                    [j, np.nextafter(j, -np.inf), np.nextafter(j, np.inf)]))
+            seen = _formula_spy(monkeypatch, name)
+            TestUnderflowBits.check(stencil, n, j)
+            (d,) = seen
+            assert np.array_equal(np.sort(d[np.abs(d) > reach]),
+                                  j - p.alpha * n)
+
+    def test_formula_points_at_large_n(self, monkeypatch):
+        stencil = lax_wendroff(0.6)
+        p = ApproxParams.from_expansion(expansion_coefficients(stencil))
+        n = 1_000_000
+        j = _table_offsets(stencil, n)
+        seen = _formula_spy(monkeypatch, "_g_formula")
+        approx_G(p, n, j)
+        (d,) = seen
+        reach = _reach(p, n)
+        fallbacks = int(np.sum(np.abs(d) > reach))
+        # A cell beyond the reach falls back within about 2e-6 turns of
+        # the two zeros of the cosine in each turn: 8e-6 of 2e6 cells.
+        assert fallbacks <= 64
+        assert len(d) <= 2 * math.ceil(reach) + 1 + fallbacks
 
 
 class TestApproxH:

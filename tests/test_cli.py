@@ -312,6 +312,20 @@ class TestCoeffs:
         assert data["admissible"] is False
 
 
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    def test_custom_value_with_leading_minus(self, capsys, output_format):
+        # argparse reads a separate value starting with '-' as an option.
+        argv = ("coeffs", "--scheme", "custom", "--format", output_format)
+        assert run(*argv, "--custom=-1:0.5:0,0:0.5:0") == EXIT_OK
+        glued = capsys.readouterr()
+        assert run(*argv, "--custom", "-1:0.5:0,0:0.5:0") == EXIT_OK
+        assert capsys.readouterr() == glued
+        assert glued.err == ""
+        if output_format == "json":
+            assert json.loads(glued.out)["stencil"]["coefficients"][0][0] == -1
+        else:
+            assert "a[-1]" in glued.out
+
     @pytest.mark.parametrize("output_format,digest", [
         ("text",
          "059c253bedf060796addfedf5b908a47a39736d09c64ca2f213df89e287747b5"),
@@ -401,6 +415,31 @@ class TestGreen:
         assert capsys.readouterr().err == (
             "error: the computation needs about 256 MB, budget is 64 MB\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_refusal_reads_above_budget(self, monkeypatch, capsys):
+        # 40 * 800001 entries of 16 bytes: 512.00064 MB, which three
+        # digits would print as the 512 MB budget.
+        monkeypatch.delenv("DG_MEMORY_BUDGET_MB", raising=False)
+        with mock.patch.object(cli, "green_spectral",
+                               side_effect=AssertionError):
+            assert run("green", "--lambda", "0.75",
+                       "--n", "400000") == EXIT_MEMORY
+        assert capsys.readouterr() == ("", "error: the computation needs "
+                                       "about 512.001 MB, budget is 512 MB\n")
+
+    def test_csv_traced_peak_per_row(self, tmp_path):
+        # A complex stencil's cells are all nonzero.  Formatting all rows
+        # at once peaked at about 560 B a row; by blocks of rows, 200 B.
+        out = tmp_path / "g.csv"
+        tracemalloc.start()
+        try:
+            assert run("green", "--scheme", "custom",
+                       "--custom=-1:0.25:-0.05,0:0.5:0.1,1:0.25:-0.05",
+                       "--n", "50000", "--out", str(out)) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 280 * 100001
 
     @pytest.mark.parametrize("scheme", [
         ("--lambda", "0.75"),
@@ -1057,6 +1096,8 @@ _CASES = {
                     "bv --lambda 0.75 --n-list",
                     "bounds --lambda 0.75 --n-list")},
     "green --scheme custom --custom=0:-1:0 --n 9007199254740993": EXIT_MEMORY,
+    # A separate --custom value with a negative first offset.
+    "coeffs --scheme custom --custom -1:0.5:0,0:0.5:0": EXIT_OK,
     # Coefficient sums below the smallest normal float64.
     **{f"coeffs --scheme custom --custom={custom} --format {output_format}":
        EXIT_OK
