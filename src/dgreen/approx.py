@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .green import _step_count
 from .stencil import SymbolExpansion
 
 __all__ = [
@@ -328,14 +329,13 @@ def _signed_zero_pass(params: ApproxParams, n: int, j, margin: float,
                       classify, formula):
     """approx_G or approx_H over j, in blocks of _BLOCK cells.
 
-    classify(d, reach), d = j - alpha n, gives each cell its a >= 0 and
-    marks the cells whose value is +0 times a factor signed like
-    cos(2 pi (a^{3/2} - 1/8)).  formula(params, n, d) runs once, on every
-    other cell and on the marked cells whose sign the cosine's margin does
-    not decide.
+    n is taken by green's step-count rule.  classify(n, d, reach),
+    d = j - alpha n, gives each cell its a >= 0 and marks the cells whose
+    value is +0 times a factor signed like cos(2 pi (a^{3/2} - 1/8)).
+    formula(params, n, d) runs once, on every other cell and on the marked
+    cells whose sign the cosine's margin does not decide.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _step_count(n)
     jarr = np.asarray(j)
     flat = jarr.ravel()
     shift = params.alpha * n
@@ -347,8 +347,8 @@ def _signed_zero_pass(params: ApproxParams, n: int, j, margin: float,
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(flat), _BLOCK):
             rows = slice(lo, lo + _BLOCK)
-            a, zero = classify(np.asarray(flat[rows], dtype=float) - shift,
-                               reach)
+            a, zero = classify(n, np.asarray(flat[rows], dtype=float)
+                               - shift, reach)
             zero &= _cos_sign(a, margin, out[rows])
             np.logical_not(zero, out=exact[rows])
     out[exact] = formula(params, n, np.asarray(flat[exact], dtype=float)
@@ -382,7 +382,7 @@ def approx_G(params: ApproxParams, n: int, j):
     is even in j - alpha n, so the reflection is the identity on values.
     Exactly zero at j = alpha n.
     """
-    def classify(d, reach):
+    def classify(n, d, reach):
         # cos(beta1 |d|^{3/2} / sqrt(n) - pi/4) = cos(2 pi (a^{3/2} - 1/8))
         scale = (params.beta1 / (2.0 * math.pi * math.sqrt(n))) ** (2.0 / 3.0)
         a = np.abs(d) * scale
@@ -411,7 +411,7 @@ def approx_H(params: ApproxParams, n: int, j):
         raise ValueError("approx_H requires c3 > 0; "
                          "no front profile is defined for c3 < 0")
 
-    def classify(d, reach):
+    def classify(n, d, reach):
         z = (3.0 * params.c3_abs * n) ** (1.0 / 3.0)
         x = d / z
         # On Ai's oscillatory range x <= _MACLAURIN_LO its sign is that of

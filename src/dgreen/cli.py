@@ -51,8 +51,8 @@ EXIT_ACCEPTANCE = 5
 
 SCHEMA_VERSION = 1
 
-# Rows of a green or evolve CSV whose cells are formatted at once.
-_CSV_BLOCK = 1024
+# Rows of a CSV or JSON column whose cells are formatted at once.
+_BLOCK = 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -216,50 +216,42 @@ def _framing(brackets: str, level: int) -> tuple:
     return brackets[0] + pad + "  ", "," + pad + "  ", pad + brackets[1]
 
 
-def _framed(items, brackets: str, level: int) -> str:
-    start, separator, end = _framing(brackets, level)
-    return start + separator.join(items) + end
+def _blocks(column: np.ndarray, spec: str):
+    """The cells of an int or float column, _BLOCK rows at a time:
+    ints by str, floats as _cells formats them with spec."""
+    for lo in range(0, len(column), _BLOCK):
+        rows = column[lo:lo + _BLOCK]
+        yield (list(map(str, rows.tolist())) if rows.dtype.kind in "iu"
+               else _cells(rows, spec))
 
 
-def _json_items(values: np.ndarray, level: int):
-    """json's own text of each element of a 1-d array `level` deep, or None.
+def _json(value, level: int = 0) -> list:
+    """json.dumps(value, indent=2, allow_nan=False), nested `level` deep, as
+    a list of chunks.
 
-    json prints an int with int.__repr__ and a float with float.__repr__,
-    which is format(x, ""); a record is a row of its fields, which must
-    be ints or finite floats, as the stencil record's are.  None for other
-    dtypes and for floats holding NaN or an infinity.
+    Dicts with string keys are framed here, and the 1-d int or finite float
+    arrays in them are formatted by _blocks, floats with spec "", which is
+    float.__repr__ as json prints it.  Everything else is json's own, other
+    arrays as their lists; json refuses NaN and infinities with ValueError.
     """
-    if values.dtype.names:
-        columns = [_json_items(values[name], level + 1)
-                   for name in values.dtype.names]
-        start, separator, end = _framing("[]", level + 1)
-        return [start + separator.join(row) + end for row in zip(*columns)]
-    if values.dtype.kind in "iu":
-        return list(map(repr, values.tolist()))
-    if values.dtype.kind == "f" and np.isfinite(values).all():
-        return _cells(values, "")
-    return None
-
-
-def _json(value, level: int = 0) -> str:
-    """json.dumps(value, indent=2, allow_nan=False), nested `level` deep.
-
-    Dicts with string keys are framed here so that the 1-d numpy arrays in
-    them are written in bulk by _json_items.  Everything else, an array
-    holding a NaN or an infinity included, is json's own, which refuses
-    non-finite floats with ValueError.
-    """
+    start, separator, end = _framing("{}" if isinstance(value, dict)
+                                     else "[]", level)
     if isinstance(value, dict) and value:
-        return _framed([f"{json.dumps(key)}: {_json(item, level + 1)}"
-                        for key, item in value.items()], "{}", level)
-    if isinstance(value, np.ndarray):
-        if value.ndim == 1 and len(value):
-            items = _json_items(value, level)
-            if items is not None:
-                return _framed(items, "[]", level)
-        value = value.tolist()
-    return json.dumps(value, indent=2, allow_nan=False).replace(
-        "\n", "\n" + "  " * level)
+        items = ([f"{json.dumps(key)}: ", *_json(item, level + 1)]
+                 for key, item in value.items())
+    elif (isinstance(value, np.ndarray) and value.ndim == 1 and len(value)
+          and (value.dtype.kind in "iu" or value.dtype.kind == "f"
+               and np.isfinite(value).all())):
+        items = ([separator.join(block)] for block in _blocks(value, ""))
+    else:
+        return [json.dumps(value, indent=2, allow_nan=False,
+                           default=np.ndarray.tolist).replace(
+            "\n", "\n" + "  " * level)]
+    chunks = [start]
+    for item in items:
+        chunks += [*item, separator]
+    chunks[-1] = end
+    return chunks
 
 
 def _emit_json(cfg: RunConfig, s: Stencil, fields: dict,
@@ -268,31 +260,26 @@ def _emit_json(cfg: RunConfig, s: Stencil, fields: dict,
 
     NaN and infinities are refused (ValueError) before anything is written.
     """
-    coefficients = s.as_array()
     stencil = {"label": s.label,
-               "coefficients": np.rec.fromarrays(
-                   [s.offsets, coefficients.real, coefficients.imag])}
+               "coefficients": [[offset, c.real, c.imag] for offset, c in zip(
+                   s.offsets.tolist(), s.as_array().tolist())]}
     report = {"schema_version": SCHEMA_VERSION, "command": cfg.command,
               "stencil": stencil, **fields}
-    _emit(cfg, _json(report) + "\n")
+    _emit(cfg, *_json(report), "\n")
     return EXIT_ACCEPTANCE if cfg.strict and not accepted else EXIT_OK
 
 
 def _emit_csv(cfg: RunConfig, header: str, columns: list) -> int:
     """Write the header, then one row per entry of the equal-length columns:
-    integers as str, floats as _cells gives them, None as empty cells.
+    cells as _blocks gives them, None as empty cells.
 
-    Rows are formatted _CSV_BLOCK at a time, so that only the text grows
+    Rows are formatted _BLOCK at a time, so that only the text grows
     with the table.
     """
-    chunks = [header]
-    for lo in range(0, len(columns[0]), _CSV_BLOCK):
-        rows = slice(lo, lo + _CSV_BLOCK)
-        cells = [itertools.repeat("") if col is None
-                 else map(str, col[rows].tolist()) if col.dtype.kind == "i"
-                 else _cells(col[rows]) for col in columns]
-        chunks.append("\n".join(map(",".join, zip(*cells))) + "\n")
-    _emit(cfg, *chunks)
+    blocks = [itertools.repeat(itertools.repeat("")) if col is None
+              else _blocks(col, ".17g") for col in columns]
+    _emit(cfg, header, *("\n".join(map(",".join, zip(*cells))) + "\n"
+                         for cells in zip(*blocks)))
     return EXIT_OK
 
 

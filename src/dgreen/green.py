@@ -20,6 +20,7 @@ may be twice.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -91,9 +92,10 @@ class GreenTable:
     """Values of G^n_j on a window of [n*min_offset_1, n*max_offset_1].
 
     min_offset is the index of values[0].  Tables from green_direct and
-    green_spectral cover the whole support.  method records which route
-    built the table ("direct" or "spectral").  Non-finite values, which
-    come from powers of the stencil that overflow, raise ValueError.
+    green_spectral cover the whole support and come with their offsets
+    built.  method records which route built the table ("direct" or
+    "spectral").  Non-finite values, which come from powers of the stencil
+    that overflow, raise ValueError.
     """
 
     n: int
@@ -110,9 +112,13 @@ class GreenTable:
     def max_offset(self) -> int:
         return self.min_offset + len(self.values) - 1
 
-    @property
+    @functools.cached_property
     def offsets(self) -> np.ndarray:
-        return np.arange(self.min_offset, self.max_offset + 1)
+        """The index j of each entry of values, built on the first read and
+        shared, read-only, by every later one."""
+        offsets = np.arange(self.min_offset, self.max_offset + 1)
+        offsets.flags.writeable = False
+        return offsets
 
     def value_at(self, j: int) -> complex:
         if self.min_offset <= j <= self.max_offset:
@@ -271,9 +277,12 @@ def green_direct(stencil: Stencil, n: int) -> GreenTable:
     entry is the IEEE result of the step loop.  Raises WorkBudgetError
     when n^2 * support_width exceeds WORK_LIMIT and MemoryBudgetError when
     three complex tables of n * support_width + 1 entries exceed the
-    memory budget.
+    memory budget.  The offsets are built here, after the loop has freed
+    its buffer.
     """
-    return next(_direct_tables(stencil, [_step_count(n)]))
+    table = next(_direct_tables(stencil, [_step_count(n)]))
+    table.offsets
+    return table
 
 
 def _fft_length(needed: int) -> int:
@@ -446,7 +455,7 @@ def _aliased_coefficients(stencil: Stencil, n: int, size: int, alpha: float,
     return coeffs, floor, far_mass
 
 
-def _spectral_window(stencil: Stencil, n: int, reserve: int = 0):
+def _spectral_window(stencil: Stencil, n: int, reserve: float = 0):
     """G^n on the window that holds its mass, and the transform length used.
 
     For real stencils the transform length M starts from the a-priori window
@@ -502,16 +511,19 @@ def green_spectral(stencil: Stencil, n: int) -> GreenTable:
     for real stencils every imaginary part is exactly 0.  Raises
     MemoryBudgetError when the transforms plus the full-support table would
     exceed the budget (the DG_MEMORY_BUDGET_MB environment variable, else
-    512 MB).
+    512 MB): 25 B a row, 16 for the table, 8 for its offsets, which are
+    built here, and 1 for the finiteness mask of GreenTable.
     """
     n = _step_count(n)
     support = n * stencil.support_width + 1
-    window, _ = _spectral_window(stencil, n, support)
+    window, _ = _spectral_window(stencil, n, 25 * support / 16)
     values = np.zeros(support, dtype=complex)
     start = window.min_offset - n * stencil.min_offset
     values[start:start + len(window.values)] = window.values
-    return GreenTable(n=n, min_offset=n * stencil.min_offset, values=values,
-                      method="spectral")
+    table = GreenTable(n=n, min_offset=n * stencil.min_offset, values=values,
+                       method="spectral")
+    table.offsets
+    return table
 
 
 def _sweep_entries(block: int, samples: int, size: int, n_max: int) -> int:

@@ -18,13 +18,15 @@ from dgreen.analysis import (
     oscillation_side,
     total_variation,
 )
-from dgreen.approx import ApproxParams, approx_G, growth_constant
-from dgreen.green import (GreenTable, GridFunction, WorkBudgetError, evolve,
-                          green_direct, green_spectral, spectral_sweep)
+from dgreen.approx import ApproxParams, approx_G, approx_H, growth_constant
+from dgreen.green import (GreenTable, GridFunction, WorkBudgetError,
+                          _direct_tables, evolve, green_direct, green_spectral,
+                          spectral_sweep)
 from dgreen.stencil import Stencil, beam_warming, expansion_coefficients, lax_wendroff
 
 LW34 = lax_wendroff(0.75)
 LW34_E = expansion_coefficients(LW34)
+LW34_PARAMS = ApproxParams.from_expansion(LW34_E)
 
 
 class TestFitDecayRate:
@@ -153,12 +155,14 @@ STEP_COUNT_READERS = {
     "bv_bounds": lambda n: bv_bounds(LW34, (n,)),
     "bv_apply_bound": lambda n: bv_apply_bound(LW34, STEP, (n,)),
     "growth_series": lambda n: growth_series(LW34, (n,)),
+    "approx_G": lambda n: approx_G(LW34_PARAMS, n, np.arange(-5, 11)),
+    "approx_H": lambda n: approx_H(LW34_PARAMS, n, np.arange(-5, 11)),
 }
 
 
 @pytest.mark.parametrize("name", STEP_COUNT_READERS)
 class TestStepCountGate:
-    @pytest.mark.parametrize("n", [2.5, True, 0, -1])
+    @pytest.mark.parametrize("n", [2.5, True, 0, -1, math.nan])
     def test_refused(self, name, n):
         if name == "evolve" and n == 0:
             assert evolve(LW34, STEP, n) is STEP
@@ -172,8 +176,26 @@ class TestStepCountGate:
         assert pickle.dumps(read(np.int64(300))) == pickle.dumps(read(300))
 
     def test_past_float64_exact_range(self, name):
-        with pytest.raises(WorkBudgetError, match="2\\*\\*53"):
-            STEP_COUNT_READERS[name](2 ** 53 + 1)
+        for n in (2 ** 53 + 1, 10 ** 400):
+            with pytest.raises(WorkBudgetError, match="2\\*\\*53"):
+                STEP_COUNT_READERS[name](n)
+
+
+def test_one_sided_builds_one_index_array(monkeypatch):
+    tables = list(_direct_tables(LW34, [300, 500]))
+    lengths = []
+    arange = np.arange
+
+    def spy(*args, **kwargs):
+        out = arange(*args, **kwargs)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(np, "arange", spy)
+    for g in tables:
+        for _ in range(2):
+            analysis._one_sided(g, LW34_E)
+    assert [n for n in lengths if n in (601, 1001)] == [601, 1001]
 
 
 class TestStepGrid:

@@ -441,6 +441,24 @@ class TestGreen:
             tracemalloc.stop()
         assert peak <= 280 * 100001
 
+    @pytest.mark.parametrize("scheme,per_row", [
+        (("--scheme", "custom",
+          "--custom=-1:0.25:-0.05,0:0.5:0.1,1:0.25:-0.05"), 280),
+        (("--lambda", "0.75"), 160)])
+    def test_json_traced_peak_per_row(self, tmp_path, scheme, per_row):
+        # Holding every cell string of a column, then the framed text,
+        # peaked at about 316 (complex) and 236 B a row (LW 3/4); by
+        # blocks of rows, 200 and 115.
+        out = tmp_path / "g.json"
+        tracemalloc.start()
+        try:
+            assert run("green", *scheme, "--n", "50000", "--format", "json",
+                       "--out", str(out)) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_row * 100001
+
     @pytest.mark.parametrize("scheme", [
         ("--lambda", "0.75"),
         ("--scheme", "bw", "--lambda", "0.5"),
@@ -565,11 +583,15 @@ class TestWriters:
 
         monkeypatch.setattr(cli, "approx_G", nan_tail)
         out = tmp_path / "g.json"
+        error = "error: Out of range float values are not JSON compliant: nan\n"
         assert run("green", *_LW, "--n", "50", "--format", "json",
                    "--out", str(out)) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "error: Out of range float values are not JSON compliant: nan\n")
+        assert capsys.readouterr().err == error
         assert list(tmp_path.iterdir()) == []
+        # Without --out, nothing reaches stdout either.
+        assert run("green", *_LW, "--n", "50", "--format", "json") == \
+            EXIT_CONFIG
+        assert capsys.readouterr() == ("", error)
 
 
 # Floats a table can hold: signed zeros, subnormals, the largest finite
@@ -598,7 +620,8 @@ def test_bulk_cells_match_per_cell_formatting(values, ints):
                 "nested": {"rows": [[i, x, -x] for i, x in zip(ints, values)],
                            "empty": [], "none": None},
                 "scalar": values[0] if values else 0.5}
-    assert _json(report) == json.dumps(expected, indent=2, allow_nan=False)
+    assert "".join(_json(report)) == json.dumps(expected, indent=2,
+                                                allow_nan=False)
 
 
 class TestEvolve:

@@ -43,6 +43,8 @@ def delta():
 
 
 COMPLEX = Stencil(-1, (0.25 - 0.05j, 0.5 + 0.1j, 0.25 - 0.05j))
+LW5 = Stencil(-2, tuple(np.convolve(lax_wendroff(0.75).as_array().real,
+                                    lax_wendroff(0.5).as_array().real)))
 
 
 def step_loop(stencil, u, n):
@@ -192,6 +194,48 @@ class TestGreenTables:
             finally:
                 tracemalloc.stop()
             assert peak <= modelled
+
+    @pytest.mark.parametrize("stencil,n", [
+        *((s, n) for s in (lax_wendroff(0.75), lax_wendroff(0.3),
+                           beam_warming(1.5), LW5)
+          for n in (10 ** 4, 10 ** 5, 10 ** 6)),
+        # The alias-free grid of a complex stencil at n = 1e6 would hold
+        # about 400 MB.
+        (COMPLEX, 10 ** 4), (COMPLEX, 10 ** 5)])
+    def test_spectral_traced_peak_within_model(self, monkeypatch, stencil, n):
+        # The largest budget check, the last transform plus 25 B a row of
+        # the full support, bounds the traced peak of the whole call.
+        checked = []
+        check = green._check_budget
+
+        def spy(entries):
+            checked.append(entries)
+            check(entries)
+
+        monkeypatch.setattr(green, "_check_budget", spy)
+        tracemalloc.start()
+        try:
+            green_spectral(stencil, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * max(checked)
+
+    @pytest.mark.parametrize("route", [green_direct, green_spectral])
+    @pytest.mark.parametrize("stencil", [
+        lax_wendroff(0.75), COMPLEX, Stencil(-1, (0.1, 0.7, 0.1)),
+        Stencil(-1, (-1.0,))])
+    def test_offsets_built_by_route(self, route, stencil):
+        g = route(stencil, 2000)
+        tracemalloc.start()
+        try:
+            first, second = g.offsets, g.offsets
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert allocated < 1024
+        assert first is second and not first.flags.writeable
+        assert first.tolist() == list(range(g.min_offset, g.max_offset + 1))
 
 
 class TestEvolveBudget:
@@ -701,8 +745,6 @@ def sweep_references(stencil, n_max):
     return alias_free_sweep(stencil, n_max), direct_l1
 
 
-LW5 = Stencil(-2, tuple(np.convolve(lax_wendroff(0.75).as_array().real,
-                                    lax_wendroff(0.5).as_array().real)))
 SWEEP_N = 2000
 SWEEP_CASES = [
     lax_wendroff(0.75),                  # c3 > 0
