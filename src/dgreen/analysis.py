@@ -4,9 +4,10 @@ The Green's function of an admissible scheme splits at the transported front
 j = alpha*n into a fast-decay side and an oscillatory side, each bounded by a
 generalized-Gaussian envelope in the variable x = |j - alpha*n| / n**(1/3).
 This module fits the decay rates, measures the minimal envelope constants on
-exact tables, sums each side to confirm one-sided summability, tracks the
-l1 growth law l1(G^n) / n**(1/8) -> ell, and bounds evolved BV data uniformly
-in the step count.
+exact tables, sums each side to confirm one-sided summability, finds the side
+that carries the oscillations, tracks the l1 growth law
+l1(G^n) / n**(1/8) -> ell, and bounds the cumulative sums of G^n, the evolved
+Heaviside data, uniformly in the step count.
 """
 
 from __future__ import annotations
@@ -17,30 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import ApproxParams, approx_G, growth_constant
-from .green import (GreenTable, GridFunction, _direct_tables,
-                    _spectral_window, _step_count, evolve)
-from .stencil import (
-    KAPPA2_TOL,
-    Stencil,
-    SymbolExpansion,
-    assumption_audit,
-    expansion_coefficients,
-)
+from .green import GreenTable, _direct_tables, _spectral_window, _step_count
+from .stencil import (Stencil, SymbolExpansion, assumption_audit,
+                      expansion_coefficients)
 
 __all__ = [
     "BoundReport",
     "GrowthReport",
     "BVReport",
-    "fit_decay_rate",
-    "check_bound1",
-    "check_bound2",
     "envelope_reports",
-    "corollary1_sums",
     "growth_series",
     "bv_bounds",
-    "bv_apply_bound",
-    "total_variation",
-    "oscillation_side",
     "FIT_WINDOW",
     "FIT_SAFETY",
 ]
@@ -58,26 +46,15 @@ _MIN_FIT_POINTS = 4
 _LOG_SMALLEST = -1074 * math.log(2.0)
 
 
-def _require_admissible_expansion(e: SymbolExpansion) -> None:
-    if e.kappa2 > KAPPA2_TOL:
-        raise ValueError(
-            f"expansion has nonvanishing second cumulant ({e.kappa2:.3e}); "
-            "envelope analysis needs kappa2 = 0")
-    if not e.nondegenerate:
-        raise ValueError(
-            "expansion is degenerate (c3 or c4 at rounding floor); "
-            f"c3 = {e.c3:.3e}, c4 = {e.c4:.3e}")
-
-
 def _one_sided(g: GreenTable, e: SymbolExpansion):
     """g split at the front j = alpha*n: ((|G|, x) on the fast side,
     (|G - approx_G|, x) on the oscillatory side), x = |j - alpha*n| / n**(1/3).
 
     For c3 > 0 the fast side is j - alpha*n >= 0 and the oscillatory side is
     j - alpha*n < 0; the sides switch with the sign of c3.  The front point
-    itself belongs to the fast side.
+    itself belongs to the fast side.  e is an admissible scheme's expansion,
+    as envelope_reports' audit has checked.
     """
-    _require_admissible_expansion(e)
     d = g.offsets - e.alpha * g.n
     x = np.abs(d) / g.n ** (1.0 / 3.0)
     fast = d >= 0.0 if e.c3 > 0 else d <= 0.0
@@ -137,49 +114,19 @@ def _fit_rate(q: np.ndarray, x: np.ndarray) -> float:
     return float(FIT_SAFETY * slope)
 
 
-def fit_decay_rate(g: GreenTable, e: SymbolExpansion, side: str) -> float:
-    """Exponential rate c for the envelope on the requested side.
-
-    side 'fast' regresses -log|G| against x**(3/2) over FIT_WINDOW; side
-    'difference' does the same for |G - approx_G|.  The slope is shrunk by
-    FIT_SAFETY so the fitted constant C, not the rate, carries the slack.
-    Run this on the largest n of a study and reuse the rate for smaller n.
-    """
-    fast, difference = _one_sided(g, e)
-    if side not in ("fast", "difference"):
-        raise ValueError("side must be 'fast' or 'difference'")
-    return _fit_rate(*(fast if side == "fast" else difference))
-
-
-def check_bound1(g: GreenTable, e: SymbolExpansion, c_used: float) -> float:
-    """Minimal C in the fast-side bound with prefactor min(1, x**(-1/4)).
-
-    |G_j^n| <= (C / n**(1/3)) * min(1, x**(-1/4)) * exp(-c_used * x**(3/2))
-    for all j with j - alpha*n on the fast side (>= 0 for c3 > 0, <= 0 for
-    c3 < 0), where x = |j - alpha*n| / n**(1/3).
-    """
-    return _minimal_constant(*_one_sided(g, e)[0], g.n, c_used, 0.25)
-
-
-def check_bound2(g: GreenTable, e: SymbolExpansion, c_used: float) -> float:
-    """Minimal C in the oscillatory-side bound on |G - approx_G|.
-
-    |G_j^n - approx_G_j^n| <= (C / n**(1/3)) * min(1, 1/x) * exp(-c_used *
-    x**(3/2)) for j - alpha*n on the oscillatory side (< 0 for c3 > 0,
-    > 0 for c3 < 0).
-    """
-    return _minimal_constant(*_one_sided(g, e)[1], g.n, c_used, 1.0)
-
-
 @dataclass(frozen=True)
 class BoundReport:
-    """Fitted envelope constants for one side over a grid of step counts.
+    """Fitted envelope constants and one-sided sums for one side over a grid
+    of step counts.
 
     side is 'right_tail' for the fast-side bound on |G| and
     'left_difference' for the oscillatory-side bound on |G - approx_G|
     (names follow the c3 > 0 orientation; for c3 < 0 the spatial sides
-    switch while the labels keep naming the bound).  stable means the
-    largest fitted C is within twice the median, the uniformity proxy.
+    switch while the labels keep naming the bound).  C_fitted_per_n pairs
+    each n with the minimal constant at the rate c_used, and sum_per_n with
+    Corollary 1's one-sided sum of the same quantity over the same side.
+    stable means the largest fitted C is within twice the median, the
+    uniformity proxy.
     """
 
     side: str
@@ -187,49 +134,67 @@ class BoundReport:
     C_fitted_per_n: tuple
     sup_C: float
     stable: bool
+    sum_per_n: tuple
 
 
-def _assemble_bound_report(side: str, c_used: float, pairs) -> BoundReport:
+def _bound_report(side: str, c_used: float, power: float, n_values,
+                  halves) -> BoundReport:
+    """The report on one side from its (q, x) half of each table's split."""
+    pairs = [(n, _minimal_constant(q, x, n, c_used, power))
+             for n, (q, x) in zip(n_values, halves)]
     values = [c for _, c in pairs]
     sup_c = max(values)
-    stable = sup_c <= 2.0 * float(np.median(values))
-    return BoundReport(side=side, c_used=c_used, C_fitted_per_n=tuple(pairs),
-                       sup_C=sup_c, stable=stable)
+    return BoundReport(
+        side=side, c_used=c_used, C_fitted_per_n=tuple(pairs), sup_C=sup_c,
+        stable=sup_c <= 2.0 * float(np.median(values)),
+        sum_per_n=tuple((n, float(np.sum(q)))
+                        for n, (q, _) in zip(n_values, halves)))
+
+
+def _oscillation_side(g: GreenTable, e: SymbolExpansion):
+    """Which side of the front carries the sign oscillations: 'left',
+    'right', or None when n < 100 or the two counts tie.
+
+    Counts sign alternations of Re G among entries above 1e-13 of its
+    largest on each side of j = alpha*n.  For an admissible scheme the
+    oscillatory side comes out left for c3 > 0 and right for c3 < 0.  Below
+    n = 100 the wave packet has not developed.
+    """
+    if g.n < 100:
+        return None
+    d = g.offsets - e.alpha * g.n
+    re = g.values.real
+    floor = 1e-13 * float(np.max(np.abs(re)))
+    left, right = [np.count_nonzero(np.diff(np.sign(v[np.abs(v) > floor])))
+                   for v in (re[d < 0.0], re[d > 0.0])]
+    if left == right:
+        return None
+    return "left" if left > right else "right"
 
 
 def envelope_reports(stencil: Stencil, n_values):
-    """Both envelope reports for one stencil over a grid of step counts.
+    """Both envelope reports for one stencil over a grid of step counts, and
+    the oscillation side of its largest table.
 
     Tables come from the direct route: the spectral route carries a relative
     noise floor near 1e-15 which the growing factor exp(+c * x**(3/2)) in the
     ratio turns into garbage at large x, while direct tables have exact zeros
-    outside the support.  The rates are fit_decay_rate's at the largest n.
+    outside the support.  Each side's rate is fitted on the largest table.
     """
     audit = assumption_audit(stencil)
     if not audit.admissible:
         raise ValueError("stencil is not admissible for envelope analysis")
     e = audit.expansion
     n_values = _step_grid(n_values)
-    splits = [_one_sided(g, e) for g in _direct_tables(stencil, n_values)]
-    # Both rates come from the largest table, before any constant.
+    splits = []
+    for g in _direct_tables(stencil, n_values):
+        splits.append(_one_sided(g, e))
+    # Both rates come from the largest table, g, before any constant.
     c_fast, c_diff = [_fit_rate(*side) for side in splits[-1]]
-    pairs1 = [(n, _minimal_constant(*fast, n, c_fast, 0.25))
-              for n, (fast, _) in zip(n_values, splits)]
-    pairs2 = [(n, _minimal_constant(*osc, n, c_diff, 1.0))
-              for n, (_, osc) in zip(n_values, splits)]
-    return (_assemble_bound_report("right_tail", c_fast, pairs1),
-            _assemble_bound_report("left_difference", c_diff, pairs2))
-
-
-def corollary1_sums(g: GreenTable, e: SymbolExpansion):
-    """One-sided absolute sums (fast-side sum of |G|, oscillatory-side sum
-    of |G - approx_G|).
-
-    Both stay bounded uniformly in n even though the full l1 norm grows like
-    n**(1/8); the growth lives entirely in the oscillatory side of G itself.
-    """
-    (fast, _), (difference, _) = _one_sided(g, e)
-    return float(np.sum(fast)), float(np.sum(difference))
+    fast, osc = zip(*splits)
+    return (_bound_report("right_tail", c_fast, 0.25, n_values, fast),
+            _bound_report("left_difference", c_diff, 1.0, n_values, osc),
+            _oscillation_side(g, e))
 
 
 @dataclass(frozen=True)
@@ -331,63 +296,3 @@ def bv_bounds(stencil: Stencil, n_values) -> BVReport:
         heaviside_linf_per_n=tuple(linfs), sup_overall=sup_overall,
         max_identity_gap=max(abs(a - b) for a, b in zip(sups, linfs)),
         stable=sup_overall <= 1.5 * float(np.median(sups)))
-
-
-def total_variation(u: GridFunction) -> float:
-    """Total variation of the bi-infinite sequence, tail jumps included."""
-    vals = np.asarray(u.values)
-    inner = float(np.sum(np.abs(np.diff(vals))))
-    left_jump = abs(vals[0] - u.left_tail)
-    right_jump = abs(u.right_tail - vals[-1])
-    return inner + float(left_jump) + float(right_jump)
-
-
-def bv_apply_bound(stencil: Stencil, u: GridFunction, n_values):
-    """Sup over the n grid of the evolved sup norm, and the data's variation.
-
-    Requires a declared zero left tail (data vanishing at -infinity); the
-    ratio sup_linf / bv_norm is the empirical stability constant even though
-    powers of the operator are unbounded on l-infinity.
-    """
-    if u.left_tail != 0:
-        raise ValueError("bv_apply_bound needs a declared zero left tail")
-    n_values = _step_grid(n_values)
-    bv_norm = total_variation(u)
-    sup_linf = 0.0
-    done = 0
-    for n in n_values:
-        u = evolve(stencil, u, n - done)
-        done = n
-        sup_linf = max(sup_linf, float(np.max(np.abs(u.values))),
-                       abs(u.left_tail), abs(u.right_tail))
-    return sup_linf, bv_norm
-
-
-def oscillation_side(g: GreenTable, e: SymbolExpansion) -> str:
-    """Which side of the front carries the sign oscillations, left or right.
-
-    Counts sign alternations of Re G among entries above 1e-13 of its
-    largest on each side of j = alpha*n.  For an admissible scheme the
-    oscillatory side must come out left for c3 > 0 and right for c3 < 0.
-    Needs n >= 100, so that the wave packet has developed.
-    """
-    _require_admissible_expansion(e)
-    if g.n < 100:
-        raise ValueError(f"n = {g.n} is below the minimum 100 for a "
-                         "meaningful oscillation count")
-    d = g.offsets - e.alpha * g.n
-    re = np.asarray(g.values).real
-    floor = 1e-13 * float(np.max(np.abs(re)))
-
-    def alternations(mask):
-        v = re[mask]
-        v = v[np.abs(v) > floor]
-        return int(np.count_nonzero(np.sign(v[:-1]) != np.sign(v[1:])))
-
-    left = alternations(d < 0.0)
-    right = alternations(d > 0.0)
-    if left == 0 and right == 0:
-        raise ValueError("no sign alternations detected on either side")
-    if left == right:
-        raise ValueError("sign alternation counts tie; side is ambiguous")
-    return "left" if left > right else "right"

@@ -275,13 +275,10 @@ class ApproxParams:
         return 2.0 / (3.0 * math.sqrt(3.0 * self.c3_abs))
 
     @classmethod
-    def from_values(cls, alpha: float, c3: float, c4: float) -> "ApproxParams":
-        return cls(alpha=alpha, c3_abs=abs(c3), c3_sign=1 if c3 > 0 else -1,
-                   c4=c4)
-
-    @classmethod
     def from_expansion(cls, expansion: SymbolExpansion) -> "ApproxParams":
-        return cls.from_values(expansion.alpha, expansion.c3, expansion.c4)
+        c3 = expansion.c3
+        return cls(alpha=expansion.alpha, c3_abs=abs(c3),
+                   c3_sign=1 if c3 > 0 else -1, c4=expansion.c4)
 
 
 # Cells of j classified at once by approx_G and approx_H: the temporaries of

@@ -49,7 +49,7 @@ EXIT_INADMISSIBLE = 3
 EXIT_MEMORY = 4
 EXIT_ACCEPTANCE = 5
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Rows of a CSV or JSON column whose cells are formatted at once.
 _BLOCK = 1024
@@ -92,6 +92,9 @@ class RunConfig:
                 raise ValueError("--scheme custom requires --custom triplets")
         else:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.output_path == "":
+            raise ValueError("--out must be a file path, not empty (omit "
+                             "--out for stdout)")
         if not 0.0 <= self.growth_tol < math.inf:
             raise ValueError("--growth-tol must be finite and >= 0")
         if self.command == "green" and (self.n is None or self.n < 1):
@@ -225,24 +228,38 @@ def _blocks(column: np.ndarray, spec: str):
                else _cells(rows, spec))
 
 
+def _is_column(value) -> bool:
+    """Whether value is a nonempty 1-d int or finite float array."""
+    return (isinstance(value, np.ndarray) and value.ndim == 1
+            and len(value) > 0
+            and (value.dtype.kind in "iu" or value.dtype.kind == "f"
+                 and bool(np.isfinite(value).all())))
+
+
 def _json(value, level: int = 0) -> list:
     """json.dumps(value, indent=2, allow_nan=False), nested `level` deep, as
     a list of chunks.
 
-    Dicts with string keys are framed here, and the 1-d int or finite float
-    arrays in them are formatted by _blocks, floats with spec "", which is
-    float.__repr__ as json prints it.  Everything else is json's own, other
-    arrays as their lists; json refuses NaN and infinities with ValueError.
+    Dicts with string keys are framed here, and so are the columns in them,
+    1-d int or finite float arrays, and tuples of equally long columns,
+    which stand for the list of their rows.  Column cells are formatted by
+    _blocks, floats with spec "", which is float.__repr__ as json prints
+    it.  Everything else is json's own, other arrays as their lists; json
+    refuses NaN and infinities with ValueError.
     """
     start, separator, end = _framing("{}" if isinstance(value, dict)
                                      else "[]", level)
     if isinstance(value, dict) and value:
         items = ([f"{json.dumps(key)}: ", *_json(item, level + 1)]
                  for key, item in value.items())
-    elif (isinstance(value, np.ndarray) and value.ndim == 1 and len(value)
-          and (value.dtype.kind in "iu" or value.dtype.kind == "f"
-               and np.isfinite(value).all())):
+    elif _is_column(value):
         items = ([separator.join(block)] for block in _blocks(value, ""))
+    elif (isinstance(value, tuple) and value
+          and all(map(_is_column, value))):
+        row = _framing("[]", level + 1)
+        items = ([separator.join(row[0] + row[1].join(cells) + row[2]
+                                 for cells in zip(*blocks))]
+                 for blocks in zip(*(_blocks(c, "") for c in value)))
     else:
         return [json.dumps(value, indent=2, allow_nan=False,
                            default=np.ndarray.tolist).replace(
@@ -260,9 +277,9 @@ def _emit_json(cfg: RunConfig, s: Stencil, fields: dict,
 
     NaN and infinities are refused (ValueError) before anything is written.
     """
-    stencil = {"label": s.label,
-               "coefficients": [[offset, c.real, c.imag] for offset, c in zip(
-                   s.offsets.tolist(), s.as_array().tolist())]}
+    coefficients = s.as_array()
+    stencil = {"label": s.label, "coefficients": (
+        s.offsets, coefficients.real, coefficients.imag)}
     report = {"schema_version": SCHEMA_VERSION, "command": cfg.command,
               "stencil": stencil, **fields}
     _emit(cfg, *_json(report), "\n")
@@ -368,8 +385,8 @@ def cmd_evolve(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
                   + 12 * (cells + n * s.support_width))
     u0 = sample_step(cfg.dx, cfg.half_width, -j_half - 1, j_half + 1)
     un = evolve(s, u0, n)
-    # u0 on un's window, as u0.value_at reads it: the cells beyond u0's own
-    # window lie off the step, so they average to 0 like u0's tails.
+    # u0 on un's window, tails included: the cells beyond u0's own window
+    # lie off the step, so they average to 0 like u0's tails.
     u0_col = sample_step(cfg.dx, cfg.half_width, un.min_index,
                          un.max_index).values.real
     x = (np.arange(un.min_index, un.max_index + 1) + 0.5) * cfg.dx
@@ -390,12 +407,14 @@ def cmd_growth(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
 
 
 def cmd_bounds(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
-    rep1, rep2 = envelope_reports(s, cfg.n_list or (250, 500, 1000, 2000))
+    rep1, rep2, side = envelope_reports(
+        s, cfg.n_list or (250, 500, 1000, 2000))
     accepted = rep1.stable and rep2.stable
     return _emit_json(cfg, s, {
         "sides_switched": audit.expansion.c3 < 0,
         "bound1": dataclasses.asdict(rep1),
         "bound2": dataclasses.asdict(rep2),
+        "oscillation_side": side,
         "accepted": accepted,
     }, accepted)
 

@@ -25,7 +25,6 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,9 +42,6 @@ __all__ = [
     "spectral_sweep",
     "evolve",
     "sample_step",
-    "cell_average_indicator",
-    "norms",
-    "Norms",
 ]
 
 MEMORY_BUDGET_ENV = "DG_MEMORY_BUDGET_MB"
@@ -120,11 +116,6 @@ class GreenTable:
         offsets.flags.writeable = False
         return offsets
 
-    def value_at(self, j: int) -> complex:
-        if self.min_offset <= j <= self.max_offset:
-            return complex(self.values[j - self.min_offset])
-        return 0.0
-
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -148,13 +139,6 @@ class GridFunction:
     @property
     def max_index(self) -> int:
         return self.min_index + len(self.values) - 1
-
-    def value_at(self, j: int) -> complex:
-        if j < self.min_index:
-            return complex(self.left_tail)
-        if j > self.max_index:
-            return complex(self.right_tail)
-        return complex(self.values[j - self.min_index])
 
 
 def _check_work(steps, start, width: int) -> None:
@@ -670,14 +654,6 @@ def evolve(stencil: Stencil, u0: GridFunction, n: int) -> GridFunction:
                         right_tail=u0.right_tail * total)
 
 
-def cell_average_indicator(x_lo: float, x_hi: float, half_width: float) -> float:
-    """Average of the indicator of [-half_width, half_width] over [x_lo, x_hi]."""
-    if x_hi <= x_lo:
-        raise ValueError("empty cell")
-    overlap = min(x_hi, half_width) - max(x_lo, -half_width)
-    return max(0.0, overlap) / (x_hi - x_lo)
-
-
 def sample_step(dx: float, half_width: float, j_min: int, j_max: int) -> GridFunction:
     """Cell averages of the indicator of [-half_width, half_width].
 
@@ -690,9 +666,10 @@ def sample_step(dx: float, half_width: float, j_min: int, j_max: int) -> GridFun
         raise ValueError("half_width must be positive")
     if j_max < j_min:
         raise ValueError("empty index range")
-    # cell_average_indicator on every cell at once, in the same operations,
-    # so each cell gets the same bits; edges that overflow are inf, as in
-    # Python arithmetic, and make an empty cell.
+    # Every cell at once: max(0, min(x_hi, w) - max(x_lo, -w)) / (x_hi - x_lo),
+    # the operations of the one-cell formula in Python floats, so each cell
+    # gets its bits; edges that overflow are inf, as in Python arithmetic,
+    # and make an empty cell.
     j = np.arange(j_min, j_max + 1, dtype=float)
     with np.errstate(over="ignore"):
         x_lo, x_hi = j * dx, (j + 1.0) * dx
@@ -700,20 +677,3 @@ def sample_step(dx: float, half_width: float, j_min: int, j_max: int) -> GridFun
         raise ValueError("empty cell")
     overlap = np.minimum(x_hi, half_width) - np.maximum(x_lo, -half_width)
     return GridFunction(j_min, np.maximum(overlap, 0.0) / (x_hi - x_lo))
-
-
-class Norms(NamedTuple):
-    l1: float
-    l2: float
-    linf: float
-    sum: complex
-
-
-def norms(values) -> Norms:
-    """l1, l2, linf and the plain sum of a value array or GreenTable."""
-    vals = values.values if isinstance(values, GreenTable) else np.asarray(values)
-    mags = np.abs(vals)
-    return Norms(l1=float(mags.sum()),
-                 l2=float(math.sqrt((mags * mags).sum())),
-                 linf=float(mags.max()),
-                 sum=complex(vals.sum()))

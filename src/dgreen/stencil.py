@@ -34,7 +34,6 @@ __all__ = [
     "lax_wendroff",
     "beam_warming",
     "symbol_eval",
-    "modulus_identity_check",
     "dissipation_check",
     "expansion_coefficients",
     "assumption_audit",
@@ -123,11 +122,6 @@ class Stencil:
     def as_array(self) -> np.ndarray:
         return self._array
 
-    def coefficient(self, offset: int) -> complex:
-        if self.min_offset <= offset <= self.max_offset:
-            return self.coefficients[offset - self.min_offset]
-        return 0.0
-
     def coefficient_sum(self) -> complex:
         return self._sum
 
@@ -184,26 +178,6 @@ def symbol_eval(stencil: Stencil, theta):
     if np.isscalar(theta) or th.ndim == 0:
         return complex(out)
     return out
-
-
-def modulus_identity_check(kind: str, lam: float) -> float:
-    """Max abs deviation of |F_a|^2 from its closed form on the audit grid.
-
-    kind "lw": |F|^2 = 1 - 4 lam^2 (1 - lam^2) sin^4(theta/2)
-    kind "bw": |F|^2 = 1 - 4 lam (1-lam)^2 (2-lam) sin^4(theta/2)
-    """
-    if kind == "lw":
-        stencil = lax_wendroff(lam)
-        factor = 4.0 * lam**2 * (1.0 - lam**2)
-    elif kind == "bw":
-        stencil = beam_warming(lam)
-        factor = 4.0 * lam * (1.0 - lam) ** 2 * (2.0 - lam)
-    else:
-        raise ValueError(f"unknown scheme kind {kind!r}")
-    theta = np.linspace(-math.pi, math.pi, AUDIT_GRID)
-    modulus_sq = np.abs(symbol_eval(stencil, theta)) ** 2
-    closed = 1.0 - factor * np.sin(theta / 2.0) ** 4
-    return float(np.max(np.abs(modulus_sq - closed)))
 
 
 def dissipation_check(stencil: Stencil):

@@ -21,7 +21,6 @@ from dgreen import (
     assumption_audit,
     beam_warming,
     bv_bounds,
-    corollary1_sums,
     envelope_reports,
     erf,
     expansion_coefficients,
@@ -30,10 +29,9 @@ from dgreen import (
     growth_constant,
     growth_series,
     lax_wendroff,
-    modulus_identity_check,
-    oscillation_side,
     spectral_sweep,
 )
+from references import modulus_identity_check
 
 # pre-build high-precision references (mpmath, 50 digits, rounded to double)
 ERF_ONE = 0.84270079294971486934
@@ -210,7 +208,7 @@ def test_05b_growth_law_large_n(capsys):
 
 
 def test_06_envelope_stability_and_quadrature(capsys, envelope_run):
-    (rep1, rep2), elapsed = envelope_run
+    (rep1, rep2, _), elapsed = envelope_run
     start = time.perf_counter()
     e = expansion_coefficients(lax_wendroff(0.75))
     params = ApproxParams.from_expansion(e)
@@ -242,13 +240,10 @@ def test_06_envelope_stability_and_quadrature(capsys, envelope_run):
 
 def test_07_one_sided_sums(capsys):
     start = time.perf_counter()
-    e = expansion_coefficients(lax_wendroff(0.75))
-    right, left = [], []
-    for n in (10 ** 2, 10 ** 3, 10 ** 4):
-        g = green_spectral(lax_wendroff(0.75), n)
-        r, l = corollary1_sums(g, e)
-        right.append(r)
-        left.append(l)
+    rep1, rep2, _ = envelope_reports(lax_wendroff(0.75),
+                                     (10 ** 2, 10 ** 3, 10 ** 4))
+    right = [v for _, v in rep1.sum_per_n]
+    left = [v for _, v in rep2.sum_per_n]
     r_ratio = max(right) / float(np.median(right))
     l_ratio = max(left) / float(np.median(left))
     elapsed = time.perf_counter() - start
@@ -292,11 +287,7 @@ def test_10_oscillation_side(capsys):
     cases = ((lax_wendroff(0.75), "left"),
              (beam_warming(1.5), "left"),
              (beam_warming(0.5), "right"))
-    got = []
-    for stencil, _ in cases:
-        g = green_spectral(stencil, 2400)
-        e = expansion_coefficients(stencil)
-        got.append(oscillation_side(g, e))
+    got = [envelope_reports(stencil, (2400,))[2] for stencil, _ in cases]
     elapsed = time.perf_counter() - start
     ok = got == [want for _, want in cases] and elapsed < 10.0
     _report(capsys, ok,

@@ -6,86 +6,71 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dgreen import analysis
-from dgreen.analysis import (
-    bv_apply_bound,
-    bv_bounds,
-    check_bound1,
-    check_bound2,
-    corollary1_sums,
-    envelope_reports,
-    fit_decay_rate,
-    growth_series,
-    oscillation_side,
-    total_variation,
-)
+from dgreen.analysis import bv_bounds, envelope_reports, growth_series
 from dgreen.approx import ApproxParams, approx_G, approx_H, growth_constant
 from dgreen.green import (GreenTable, GridFunction, WorkBudgetError,
                           _direct_tables, evolve, green_direct, green_spectral,
                           spectral_sweep)
 from dgreen.stencil import Stencil, beam_warming, expansion_coefficients, lax_wendroff
+from references import (bv_apply_bound, corollary1_sums, oscillation_side,
+                        total_variation)
 
 LW34 = lax_wendroff(0.75)
 LW34_E = expansion_coefficients(LW34)
 LW34_PARAMS = ApproxParams.from_expansion(LW34_E)
 
 
-class TestFitDecayRate:
+def bound_constant(g, e, c_used, side):
+    """The minimal envelope constant at rate c_used on one side of g's split,
+    0 the fast side (|G|, prefactor power 1/4) and 1 the oscillatory side
+    (|G - approx_G|, power 1)."""
+    q, x = analysis._one_sided(g, e)[side]
+    return analysis._minimal_constant(q, x, g.n, c_used, (0.25, 1.0)[side])
+
+
+class TestFittedRates:
     def test_fast_rate_near_beta1(self):
-        g = green_direct(LW34, 2000)
-        c = fit_decay_rate(g, LW34_E, "fast")
+        rep1, _, _ = envelope_reports(LW34, (2000,))
         beta1 = ApproxParams.from_expansion(LW34_E).beta1
         # 0.8 shrink of a slope slightly above beta1
-        assert 0.5 * beta1 < c < 1.1 * beta1
+        assert 0.5 * beta1 < rep1.c_used < 1.1 * beta1
 
     def test_difference_rate_positive(self):
-        g = green_direct(LW34, 2000)
-        c = fit_decay_rate(g, LW34_E, "difference")
-        assert 0 < c < 1.0
+        _, rep2, _ = envelope_reports(LW34, (2000,))
+        assert 0 < rep2.c_used < 1.0
 
     def test_small_n_rejected(self):
-        g = green_direct(LW34, 8)
-        with pytest.raises(ValueError):
-            fit_decay_rate(g, LW34_E, "fast")
-
-    def test_side_validated(self):
-        g = green_direct(LW34, 500)
-        with pytest.raises(ValueError):
-            fit_decay_rate(g, LW34_E, "both")
+        with pytest.raises(ValueError, match="too small for a rate fit"):
+            envelope_reports(LW34, (8,))
 
 
 class TestBoundChecks:
     def test_finite_at_n1(self):
         g = green_direct(LW34, 1)
-        assert math.isfinite(check_bound1(g, LW34_E, 0.5))
-        assert math.isfinite(check_bound2(g, LW34_E, 0.5))
+        assert math.isfinite(bound_constant(g, LW34_E, 0.5, 0))
+        assert math.isfinite(bound_constant(g, LW34_E, 0.5, 1))
 
     def test_doubling_c_increases_constant(self):
         g = green_direct(LW34, 500)
-        assert check_bound1(g, LW34_E, 1.0) < check_bound1(g, LW34_E, 2.0)
-        assert check_bound2(g, LW34_E, 0.05) < check_bound2(g, LW34_E, 0.10)
+        assert (bound_constant(g, LW34_E, 1.0, 0)
+                < bound_constant(g, LW34_E, 2.0, 0))
+        assert (bound_constant(g, LW34_E, 0.05, 1)
+                < bound_constant(g, LW34_E, 0.10, 1))
 
     def test_degenerate_expansion_rejected(self):
         # pure shift has c3 = c4 = 0
-        shift_e = expansion_coefficients(lax_wendroff(1.0))
-        g = green_direct(LW34, 100)
-        with pytest.raises(ValueError):
-            check_bound1(g, shift_e, 1.0)
-
-    def test_kappa2_rejected(self):
-        up_e = expansion_coefficients(Stencil(0, (0.25, 0.75)))
-        g = green_direct(LW34, 100)
-        with pytest.raises(ValueError):
-            check_bound2(g, up_e, 1.0)
+        with pytest.raises(ValueError, match="not admissible"):
+            envelope_reports(lax_wendroff(1.0), (100,))
 
     def test_nonpositive_rate_rejected(self):
         g = green_direct(LW34, 100)
         with pytest.raises(ValueError):
-            check_bound1(g, LW34_E, 0.0)
+            bound_constant(g, LW34_E, 0.0, 0)
 
     def test_envelope_underflow_signalled(self):
         g = green_direct(LW34, 250)
         with pytest.raises(ValueError):
-            check_bound1(g, LW34_E, 60.0)
+            bound_constant(g, LW34_E, 60.0, 0)
 
     def test_bound2_side_switches_with_c3(self):
         # same distances, mirrored stencils: constants agree exactly
@@ -95,22 +80,37 @@ class TestBoundChecks:
         rw_e = expansion_coefficients(rw)
         g = green_direct(bw, 400)
         h = green_direct(rw, 400)
-        assert check_bound2(g, bw_e, 0.05) == pytest.approx(
-            check_bound2(h, rw_e, 0.05), rel=1e-12)
-        assert check_bound1(g, bw_e, 1.0) == pytest.approx(
-            check_bound1(h, rw_e, 1.0), rel=1e-12)
+        assert bound_constant(g, bw_e, 0.05, 1) == pytest.approx(
+            bound_constant(h, rw_e, 0.05, 1), rel=1e-12)
+        assert bound_constant(g, bw_e, 1.0, 0) == pytest.approx(
+            bound_constant(h, rw_e, 1.0, 0), rel=1e-12)
+
+    def test_reports_switch_with_c3(self):
+        bw = beam_warming(0.5)
+        reports = envelope_reports(bw, (200, 400))
+        mirrored = envelope_reports(bw.reflected(), (200, 400))
+        assert reports[2] == "right" and mirrored[2] == "left"
+        for rep, ref in zip(reports[:2], mirrored[:2]):
+            assert rep.c_used == pytest.approx(ref.c_used, rel=1e-12)
+            for field in ("C_fitted_per_n", "sum_per_n"):
+                for (n, c), (m, d) in zip(getattr(rep, field),
+                                          getattr(ref, field)):
+                    assert n == m and c == pytest.approx(d, rel=1e-12)
 
 
 class TestEnvelopeReports:
     def test_lw_stable(self):
-        rep1, rep2 = envelope_reports(LW34, (250, 500, 1000))
+        rep1, rep2, side = envelope_reports(LW34, (250, 500, 1000))
         assert rep1.side == "right_tail"
         assert rep2.side == "left_difference"
+        assert side == "left"
         for rep in (rep1, rep2):
             assert rep.stable
             assert rep.sup_C == max(c for _, c in rep.C_fitted_per_n)
             assert [n for n, _ in rep.C_fitted_per_n] == [250, 500, 1000]
+            assert [n for n, _ in rep.sum_per_n] == [250, 500, 1000]
             assert all(c > 0 for _, c in rep.C_fitted_per_n)
+            assert all(v > 0 for _, v in rep.sum_per_n)
 
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
@@ -126,21 +126,20 @@ class TestOneSplit:
         n_values = (250, 500, 1000)
         e = expansion_coefficients(stencil)
         tables = [green_direct(stencil, n) for n in n_values]
-        rep1, rep2 = envelope_reports(stencil, n_values)
-        assert rep1.c_used == fit_decay_rate(tables[-1], e, "fast")
-        assert rep2.c_used == fit_decay_rate(tables[-1], e, "difference")
+        rep1, rep2, side = envelope_reports(stencil, n_values)
+        fast, osc = analysis._one_sided(tables[-1], e)
+        assert rep1.c_used == analysis._fit_rate(*fast)
+        assert rep2.c_used == analysis._fit_rate(*osc)
         assert rep1.C_fitted_per_n == tuple(
-            (g.n, check_bound1(g, e, rep1.c_used)) for g in tables)
+            (g.n, bound_constant(g, e, rep1.c_used, 0)) for g in tables)
         assert rep2.C_fitted_per_n == tuple(
-            (g.n, check_bound2(g, e, rep2.c_used)) for g in tables)
-        for g in tables:
-            d = g.offsets - e.alpha * g.n
-            fast = d >= 0.0 if e.c3 > 0 else d <= 0.0
-            difference = np.abs(g.values - approx_G(
-                ApproxParams.from_expansion(e), g.n, g.offsets))
-            assert corollary1_sums(g, e) == (
-                float(np.sum(np.abs(g.values)[fast])),
-                float(np.sum(difference[~fast])))
+            (g.n, bound_constant(g, e, rep2.c_used, 1)) for g in tables)
+        sums = [corollary1_sums(g, e) for g in tables]
+        assert rep1.sum_per_n == tuple(
+            (g.n, fast) for g, (fast, _) in zip(tables, sums))
+        assert rep2.sum_per_n == tuple(
+            (g.n, osc) for g, (_, osc) in zip(tables, sums))
+        assert side == oscillation_side(tables[-1], e)
 
 
 STEP = GridFunction(0, (1.0,), left_tail=0.0, right_tail=1.0)
@@ -222,10 +221,11 @@ class TestStepGrid:
         assert growth_series(LW34, np.array(n_values)).n_values == (100, 300)
 
     def test_duplicates_keep_their_rows(self):
-        rep1, rep2 = envelope_reports(LW34, (1000, 250, 250))
+        rep1, rep2, _ = envelope_reports(LW34, (1000, 250, 250))
         for rep in (rep1, rep2):
             assert [n for n, _ in rep.C_fitted_per_n] == [250, 250, 1000]
             assert rep.C_fitted_per_n[0] == rep.C_fitted_per_n[1]
+            assert rep.sum_per_n[0] == rep.sum_per_n[1]
         rep = bv_bounds(LW34, (1000, 100, 100))
         assert rep.n_values == (100, 100, 1000)
         assert rep.sup_cumsum_per_n[0] == rep.sup_cumsum_per_n[1]
@@ -244,34 +244,37 @@ class TestWorkCap:
 
 
 class TestOneSidedSums:
-    def test_n1_subset_sum(self):
-        g = green_direct(LW34, 1)
-        right, _ = corollary1_sums(g, LW34_E)
-        assert right <= float(np.sum(np.abs(LW34.as_array()))) + 1e-15
+    def test_fast_sum_below_l1(self):
+        rep1, rep2, _ = envelope_reports(LW34, (100, 400))
+        for (n, fast), (_, osc) in zip(rep1.sum_per_n, rep2.sum_per_n):
+            l1 = float(np.sum(np.abs(green_direct(LW34, n).values)))
+            assert 0.0 < fast < l1
+            assert osc > 0.0
 
     def test_decomposition(self):
         n = 800
-        g = green_spectral(LW34, n)
-        right, left_diff = corollary1_sums(g, LW34_E)
-        params = ApproxParams.from_expansion(LW34_E)
+        rep1, rep2, _ = envelope_reports(LW34, (n,))
+        (_, right), = rep1.sum_per_n
+        (_, left_diff), = rep2.sum_per_n
+        g = green_direct(LW34, n)
         d = g.offsets - LW34_E.alpha * n
         osc = d < 0
-        approx_sum = float(np.sum(np.abs(approx_G(params, n, g.offsets)[osc])))
+        approx_sum = float(np.sum(np.abs(
+            approx_G(LW34_PARAMS, n, g.offsets)[osc])))
         full_l1 = float(np.sum(np.abs(g.values)))
         # triangle inequality around the oscillatory-side approximation
         assert abs(full_l1 - right - approx_sum) <= left_diff + 1e-12
 
     def test_negative_c3_sides(self):
         bw = beam_warming(0.5)
-        e = expansion_coefficients(bw)
-        g = green_direct(bw, 400)
-        right, left_diff = corollary1_sums(g, e)
+        rep1, rep2, _ = envelope_reports(bw, (400,))
+        ref1, ref2, _ = envelope_reports(bw.reflected(), (400,))
+        (_, right), = rep1.sum_per_n
+        (_, left_diff), = rep2.sum_per_n
         assert right > 0 and left_diff > 0
         # mirrored scheme gives identical split
-        r2, l2 = corollary1_sums(green_direct(bw.reflected(), 400),
-                                 expansion_coefficients(bw.reflected()))
-        assert right == pytest.approx(r2, rel=1e-12)
-        assert left_diff == pytest.approx(l2, rel=1e-12)
+        assert right == pytest.approx(ref1.sum_per_n[0][1], rel=1e-12)
+        assert left_diff == pytest.approx(ref2.sum_per_n[0][1], rel=1e-12)
 
 
 class TestGrowthSeries:
@@ -373,16 +376,33 @@ class TestOscillationSide:
         (beam_warming(0.5), "right"),
     ])
     def test_sides(self, stencil, side):
+        assert envelope_reports(stencil, (250, 600))[2] == side
         g = green_spectral(stencil, 600)
         assert oscillation_side(g, expansion_coefficients(stencil)) == side
 
-    def test_small_n_rejected(self):
-        g = green_direct(LW34, 50)
-        with pytest.raises(ValueError):
-            oscillation_side(g, LW34_E)
+    @pytest.mark.parametrize("stencil", [
+        *(lax_wendroff(lam) for lam in (0.05, 0.3, 0.5, 0.95)),
+        *(beam_warming(lam) for lam in (0.1, 0.5, 0.9, 1.1, 1.5, 1.95)),
+        Stencil(-2, tuple(np.convolve(lax_wendroff(0.75).as_array().real,
+                                      lax_wendroff(0.5).as_array().real)),
+                label="lw(0.75)*lw(0.5)"),
+    ], ids=lambda s: s.label)
+    @pytest.mark.parametrize("n", [100, 700, 2000])
+    def test_matches_reference_and_c3(self, stencil, n):
+        e = expansion_coefficients(stencil)
+        g = green_direct(stencil, n)
+        side = analysis._oscillation_side(g, e)
+        assert side == oscillation_side(g, e)
+        assert side == ("left" if e.c3 > 0 else "right")
 
-    def test_no_alternations_signalled(self):
+    def test_small_n_has_no_side(self):
+        g = green_direct(LW34, 99)
+        assert analysis._oscillation_side(g, LW34_E) is None
+        assert oscillation_side(g, LW34_E) is None
+        assert envelope_reports(LW34, (20, 40))[2] is None
+
+    def test_tie_has_no_side(self):
         flat = GreenTable(n=100, min_offset=0, values=np.ones(5),
                           method="direct")
-        with pytest.raises(ValueError):
-            oscillation_side(flat, LW34_E)
+        assert analysis._oscillation_side(flat, LW34_E) is None
+        assert oscillation_side(flat, LW34_E) is None

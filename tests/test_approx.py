@@ -283,11 +283,13 @@ class TestApproxParams:
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            ApproxParams.from_values(0.5, 0.0, 0.01)
+            ApproxParams(alpha=0.5, c3_abs=0.0, c3_sign=1, c4=0.01)
         with pytest.raises(ValueError):
-            ApproxParams.from_values(0.5, 0.05, -0.01)
+            ApproxParams(alpha=0.5, c3_abs=0.05, c3_sign=1, c4=-0.01)
         with pytest.raises(ValueError):
-            ApproxParams.from_values(0.5, math.nan, 0.01)
+            ApproxParams(alpha=0.5, c3_abs=math.nan, c3_sign=1, c4=0.01)
+        with pytest.raises(ValueError):
+            ApproxParams(alpha=0.5, c3_abs=0.05, c3_sign=0, c4=0.01)
         # beta0 and beta1 derive from c3 and c4; they cannot be passed.
         with pytest.raises(TypeError):
             ApproxParams(alpha=0.5, c3_abs=0.05, c3_sign=1, c4=0.01,
@@ -309,8 +311,9 @@ class TestApproxG:
         assert_allclose(left, right, rtol=1e-13, atol=0)
 
     def test_negative_c3_reflects(self):
-        pos = ApproxParams.from_values(0.5, 0.0625, 0.0234375)
-        neg = ApproxParams.from_values(0.5, -0.0625, 0.0234375)
+        pos = ApproxParams(alpha=0.5, c3_abs=0.0625, c3_sign=1, c4=0.0234375)
+        neg = ApproxParams(alpha=0.5, c3_abs=0.0625, c3_sign=-1,
+                           c4=0.0234375)
         n = 300
         for t in (-40.0, -7.5, 13.0):
             assert approx_G(neg, n, 0.5 * n + t) == pytest.approx(

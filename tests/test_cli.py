@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -6,6 +7,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import stat
 import tempfile
 import time
@@ -93,8 +95,7 @@ class TestConfig:
                         custom_coefficients=((2, 0.25, 0.0), (0, 0.75, 0.0)))
         s = make_stencil(cfg)
         assert s.min_offset == 0
-        assert s.coefficient(1) == 0.0
-        assert s.coefficient(2) == 0.25
+        assert s.coefficients == (0.75, 0.0, 0.25)
 
 
 class TestExitCodes:
@@ -198,6 +199,15 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
         assert not out.parent.exists()
 
+    def test_empty_out_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run("coeffs", "--lambda", "0.75", "--out", "") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --out must be a file path, not empty "
+                                "(omit --out for stdout)\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_nonfinite_coefficient(self, capsys):
         assert run("coeffs", "--scheme", "custom",
                    "--custom", "0:nan:0") == EXIT_CONFIG
@@ -299,7 +309,7 @@ class TestCoeffs:
         assert run("coeffs", "--scheme", "bw", "--lambda", "0.5",
                    "--format", "json") == EXIT_OK
         data = json.loads(capsys.readouterr().out)
-        assert data["schema_version"] == 1
+        assert data["schema_version"] == 2
         assert data["c3"] == pytest.approx(-0.0625)
         assert data["admissible"] is True
 
@@ -330,11 +340,12 @@ class TestCoeffs:
         ("text",
          "059c253bedf060796addfedf5b908a47a39736d09c64ca2f213df89e287747b5"),
         ("json",
-         "a23ea6381f37f789ff8c47fdf16a04144c2b89fc16fe0c6387bec97d3572772e"),
+         "e50008556b2de9d80018c52fa2a17b89a0ffb8d5c1b371f883181a9eb1fa41bd"),
     ])
     def test_sparse_wide_bytes_unchanged(self, capsys, output_format, digest):
         # Recorded when Stencil checked and summed its 400001 coefficients
-        # one Python object at a time.
+        # one Python object at a time; the JSON digest re-taken at schema 2,
+        # whose bytes differ from schema 1's in the version line alone.
         assert run("coeffs", "--scheme", "custom",
                    "--custom", "0:0.5:0,400000:0.5:0",
                    "--format", output_format) == EXIT_OK
@@ -386,7 +397,7 @@ class TestGreen:
         assert run("green", "--scheme", "lw", "--lambda", "0.75",
                    "--n", "4", "--format", "json", "--out", str(out)) == EXIT_OK
         data = json.loads(out.read_text())
-        assert data["schema_version"] == 1
+        assert data["schema_version"] == 2
         assert data["j"][0] == -4
         assert len(data["re"]) == 9
         assert data["approx_H"] is not None
@@ -680,7 +691,9 @@ class TestEvolve:
             ["evolve", *scheme, "--dx", "0.05", "--t", "1.0"]))
         u0 = sample_step(0.05, 0.5, -11, 11)
         un = evolve(make_stencil(cfg), u0, n)
-        rows = [f"{_fmt((j + 0.5) * 0.05)},{_fmt(u0.value_at(j).real)},"
+        # u0 has zero tails: cells off its window read 0.
+        u0_at = dict(zip(range(-11, 12), u0.values.real.tolist()))
+        rows = [f"{_fmt((j + 0.5) * 0.05)},{_fmt(u0_at.get(j, 0.0))},"
                 f"{_fmt(un.values[k].real)}"
                 for k, j in enumerate(range(un.min_index, un.max_index + 1))]
         assert lines[2:] == rows
@@ -732,7 +745,7 @@ class TestReports:
         assert run("growth", "--scheme", "lw", "--lambda", "0.75",
                    "--n-list", "100,400", "--out", str(out)) == EXIT_OK
         data = json.loads(out.read_text())
-        assert data["schema_version"] == 1
+        assert data["schema_version"] == 2
         assert data["n_values"] == [100, 400]
         assert data["errors_decreasing"] is True
         assert data["ell_target"] == pytest.approx(0.6362153564491495)
@@ -746,6 +759,19 @@ class TestReports:
         assert data["bound1"]["side"] == "right_tail"
         assert data["bound1"]["stable"] is True
         assert data["bound2"]["stable"] is True
+        assert data["oscillation_side"] == "right"
+
+    def test_bounds_json_one_sided_sums(self, tmp_path):
+        out = tmp_path / "b.json"
+        assert run("bounds", "--scheme", "lw", "--lambda", "0.75",
+                   "--n-list", "20,40", "--out", str(out)) == EXIT_OK
+        data = json.loads(out.read_text())
+        assert data["oscillation_side"] is None
+        assert data["accepted"] is True
+        for key in ("bound1", "bound2"):
+            sums = data[key]["sum_per_n"]
+            assert [n for n, _ in sums] == [20, 40]
+            assert all(0.0 < v < 1.0 for _, v in sums)
 
     def test_bv_json(self, tmp_path):
         out = tmp_path / "bv.json"
@@ -763,132 +789,136 @@ COMPLEX_CUSTOM = _COMPLEX[-1]
 # sha256 of the bounds and bv reports as the direct route wrote them when
 # every step convolved the whole support, subnormal tails included (numpy
 # 2.4.6, x86-64).  Trimming the underflowed tails must not move one byte.
+# Every JSON digest here was re-taken at schema_version 2, after a check
+# that each report differed from its schema 1 bytes in the version line
+# alone, and a bounds report also in its added sum_per_n and
+# oscillation_side keys.
 REPORT_SHA256 = {
     "bounds --scheme lw --lambda 0.75":
-        "9b5780107a93b2e65dbfda47c7f8106187c6f7eb5e42766a65264cae101487e6",
+        "f2bfd11c41df02e6bcba3f2d69c46a98bad91cb44bbe53f408f4777d129edd30",
     "bv --scheme lw --lambda 0.75 --n-list 100,1000,3000":
-        "6ff854406406dba020572906b10c6b549aba9a78ccce99aeb309a8ffaf6a59db",
+        "5418c99fe1b8fdac64fd1257d93e6f45f35a1bd51a32e7a19a1a70e9997caab2",
     "bounds --scheme lw --lambda 0.3":
-        "73c1b2703d80689dc244f781b84644fb3666a3e128c4e2aea906ba528826624f",
+        "675621f82752ad07e48ddcb8dfabd8c0126579c63029a10756d40ba82ab0497f",
     "bv --scheme lw --lambda 0.3 --n-list 100,1000,3000":
-        "815091f573ffac9a244f605ccada0afcea79b5e0bbd8f0bca3ed572a745b79bb",
+        "bcce19669ecfec9d36895d8f452cc39ad890ff89c12f060142cb0ac91de2b73b",
     "bounds --scheme lw --lambda 0.49":
-        "5a0d368f0289d210d8223b336ccf35ad5ebb0080b97d0c1dc45293f81086c3aa",
+        "a20b70554276144ac5b9384f977985c8047edf6aac85d0ff9fabd6ee8e7cb67e",
     "bv --scheme lw --lambda 0.49 --n-list 100,1000,3000":
-        "ad901451cf37ebc17d801f649965f5ff8f86fb0923f3c8f355f20769a397d108",
+        "4046dbd7d0bee127025b0f0692320077912cc81849549ad0bcb6d893e682ab92",
     "bounds --scheme bw --lambda 0.5":
-        "9de86c52428a9c4c7c1b119f127ab4a5bed5d6380aa8b6e5ff4c4e5136acc423",
+        "79660b0d0ae479cb23265b949b074f31b4022feef2b8b289ee7400ff4fff8367",
     "bv --scheme bw --lambda 0.5 --n-list 100,1000,3000":
-        "344172c407c4dd80fbac598f24980c9fa2d055fb06b9fc4777213e840e7dc1d8",
+        "a86900dc95e4c3cf38d71e9946306757c20d04188a3d9fc56df1985c2685369e",
     "bounds --scheme bw --lambda 0.36":
-        "a6a9865bf3309224df5be344de5873a38ce46e35385b9314f8fb50b25dfb226d",
+        "93efea06e2f74939f9615afa50d652be8a6e60e1736d2b6d92439c3942a15569",
     "bv --scheme bw --lambda 0.36 --n-list 100,1000,3000":
-        "b65af5b2dd7acb853e711937c11300fa06a13fac29f0f84226346abf21023cd6",
+        "6da078c83221a4445bd27dc5a1cf7aa1c69f68e231e96c4afd6559446706221a",
     "bounds --scheme bw --lambda 1.5":
-        "3b80d823cbcbb0161fd088b20db25c5fdbb72fcb429d16855a1ca5628b2b6f2c",
+        "862ca1a9d8b5874b01f98fc4342e0f8747e80b8736fc7e076a31b5bbe700d01b",
     "bv --scheme bw --lambda 1.5 --n-list 100,1000,3000":
-        "fe48d425a6359ef7196aa3e5206fb5213b5570b7b7d5d8e6a598a8a20cbe7bb0",
+        "74e19d36d3004226fd640e501a58ee6deb8bf333a1f7c00905544ffe961cf750",
     "bounds --scheme bw --lambda 1.8":
-        "5a76927cd501c0c69ba51ea7db5c390497b51f349ef2660c9f73c97c11a6a2de",
+        "9a49d6bf7866fb2e247288333ae38f7ff63e81e09837339b475a8163e7e1deea",
     "bv --scheme bw --lambda 1.8 --n-list 100,1000,3000":
-        "9d908bb639a905dd5749561150fdf09bee1183318071d72dd0f072d8c4dc352f",
+        "3c5353015beb7032300539c669105d398310a44423670c4903dacb55c7c3a0a7",
     f"bounds --scheme custom {LW5_CUSTOM}":
-        "373bee52740b228048b1b6291b8c237f923e1157351260b60229ed55d9abd6be",
+        "3df8d2ca8c03406044c3f56a0c6602fe6f18cf5e878f136587b9e0ada2f6a8ce",
     f"bv --scheme custom {LW5_CUSTOM} --n-list 100,1000,3000":
-        "876d71504c2c832e5138011e104bb46a3723b98d2b0ea843603106adc59e9411",
+        "17e975249e8a8e8e7648c0bcbb37a35ce042dd0e84017ffc8a1f4a19d8bc622e",
     # Duplicate step counts: each one keeps its own row, in grid order
     # (numpy 2.4.6, x86-64).
     "bounds --scheme lw --lambda 0.75 --n-list 250,250,1000":
-        "ed7bd92568cc98ccd2db6fc1579bb2424aac079c08a9699491693c7172dcfbf4",
+        "0b64274814f8fd4116539fd2820c91b49b0e9dcbdfa5c27748df88a36ebeaf9b",
     "bv --scheme lw --lambda 0.75 --n-list 100,100,1000":
-        "1d033ceddb86f0e64bdd7f7d1655f4298b928d492c11ba993ab0d82d4ca6a8a8",
+        "cf78649e10029c3d8eed144c59759c6dd3ae3b39b3e6c261efda5d42163fae86",
     # coeffs, green (both routes, CSV and JSON), evolve and growth as
     # written before each route read the stencil's coefficient data from
     # one place (numpy 2.4.6, x86-64).
     "coeffs --scheme lw --lambda 0.75":
         "e2e6049fde38d31cd412094660815c34641a500b3581c6a35f31ce609570d9a4",
     "coeffs --scheme lw --lambda 0.75 --format json":
-        "1bc00e054fea865c1aca6f7d500e634872de86032b6c46a4e9435d583b0fe977",
+        "1cc08b7051317316cc3f52890801a2e7d06d2ca84746486ea05930e9b6e312fc",
     "green --scheme lw --lambda 0.75 --n 500 --method spectral":
         "a480fd8ff3f6a029f7036c2faa1056fafdec460450d1259ec4dcf5040a0b7101",
     "green --scheme lw --lambda 0.75 --n 500 --method spectral --format json":
-        "285501cf19bffc83e6988f1e618f2ca2f0687476fc3c26dec3b7cf8e2a5fc6a3",
+        "bcc9c7f5a16a48b14b56aacc816d9c061d08fe60e455366d8d929ec6ab4116fa",
     "green --scheme lw --lambda 0.75 --n 500 --method direct":
         "f3354a384c03a879ff7cf1b5e780382e563cee49436c644ea4abf526017239eb",
     "green --scheme lw --lambda 0.75 --n 500 --method direct --format json":
-        "ece7c0e6d744ab82293b0ec7cfb60df48192d624eeac511b57dada75a3a96d55",
+        "5cf95ef10361099f76d0f974fba7d056dcb7bdba5ee2a2e4ee41f5ad471e31c6",
     "evolve --scheme lw --lambda 0.75 --dx 0.05 --t 1.0":
         "5f8013704d9bf235259b42f15a96e04a0ef8d0b197df895aad37c16b9fd04105",
     "growth --scheme lw --lambda 0.75":
-        "ccb03d1aa57c54bf827aa358f06fd5bf9756673d20644b38a7d9ff9b96d89ba6",
+        "e0dccbcf24bd7a03f6c9976496cfaa4cca1babb5272c1918e3f3858d7b5f91ad",
     "coeffs --scheme bw --lambda 0.5":
         "75a690c771864c0b1a013287c64bc00138f7f3e2c51914e6295a5913ee841df6",
     "coeffs --scheme bw --lambda 0.5 --format json":
-        "291c974b7aa140e54bbda399230b499d0745ee69cf90c183152a4463388edc1d",
+        "08cf8187d7e6f1837598d19a893419c72ef7f4c8c9b2a7c26bb6976952ce55b1",
     "green --scheme bw --lambda 0.5 --n 500 --method spectral":
         "235036c9e7372b220166be4ef12776dbd6529b90af20aa083d4a2b81fb94b1a7",
     "green --scheme bw --lambda 0.5 --n 500 --method spectral --format json":
-        "aa2123f6258069cc8f4f2b35a012483de720d090d4a5d10324cfeaec36aa3598",
+        "27a40acdec86d124657ac35e71865f7f2362755e9e6d6e1a3c0d96a680a882bd",
     "green --scheme bw --lambda 0.5 --n 500 --method direct":
         "935c5d3889eb38744a4efa09104ae6f3b6cdfe35a01534b1eac3d4577fdba0c9",
     "green --scheme bw --lambda 0.5 --n 500 --method direct --format json":
-        "e274a4e5a38a436b043e0eeb1c52344ec53fd355d11ebb548b8654341e235d46",
+        "7fe825bc8766712b69d733b79e0eb8ed81fc0547089d1b910547e66b6dcd00e6",
     "evolve --scheme bw --lambda 0.5 --dx 0.05 --t 1.0":
         "8dfc292656a7aaf2de9c691504d05e388315bca7fb8f3909618270aaa4895b7a",
     "growth --scheme bw --lambda 0.5":
-        "5f8b85503d0a5c10f41754f45be9ceb68d2bd30a2a7871bcd366943e0cb84f48",
+        "9b8bd4036dbe5652043a018a23370e03d1569daa30b1f0ce41fd5ae0ea229700",
     "coeffs --scheme bw --lambda 1.5":
         "121a2283864c363d398175413156b31e53cc1b2a29c7dae994754c5470af7397",
     "coeffs --scheme bw --lambda 1.5 --format json":
-        "4e26f364d3d40917bb5974ad0c1a8d002bc30ca0b7a0f162f8ff93c15bcb70a4",
+        "582d788b0d61459b7d901cb958c5e67e51a07fe135e85aedb912f21459e6eac0",
     "green --scheme bw --lambda 1.5 --n 500 --method spectral":
         "714a565d7194b13c2b60fa78f52621e7c363bfb9f2996ed87d18b8acd75a183c",
     "green --scheme bw --lambda 1.5 --n 500 --method spectral --format json":
-        "1c1dd459716649135963e2aa16af98eea3c1c1bcbb1fb1045e1b4edffb49dd5f",
+        "8028f2bab8e89edcf4c428a91f56c56d52e4965d21740682054670e59a2198b0",
     "green --scheme bw --lambda 1.5 --n 500 --method direct":
         "302683b990d95b9b13772be66f5705f429fd86d5aff1ba251b183cba39d0c373",
     "green --scheme bw --lambda 1.5 --n 500 --method direct --format json":
-        "b458ae7a4e10628a11c0ecda5b8e0c93e555e3253f2c8809cf1b937a42c7d2fa",
+        "bed9017742f18c81129190eed5478cb59e4931a5aa4d54d1563b0debcdfabfb8",
     "evolve --scheme bw --lambda 1.5 --dx 0.05 --t 1.0":
         "ef3f0283add51537342c92b8a57949cd818c43066b2b8ee302c90dfbad325c26",
     "growth --scheme bw --lambda 1.5":
-        "1a9d7f44faa234237cfc6b2497436e670383a4edae918b976763a8836f34a67c",
+        "d1942e494fee7df7fc3939407e3478b16946324257721bf6a748d41e52c0cee8",
     f"coeffs --scheme custom {LW5_CUSTOM}":
         "23b3e5e714170cf8bda0ddae93c3e0ac10b97fbcbac8284f0e8ac272f69f5b3b",
     f"coeffs --scheme custom {LW5_CUSTOM} --format json":
-        "28d552500014dd83d01ede2682ffe093ff0b1e488f55c296a130b5759be7a867",
+        "4bd6d0deb2112cf063ce11ad7439ac0c9349ed46f56cf36dcafba5e5ac157914",
     f"green --scheme custom {LW5_CUSTOM} --n 500 --method spectral":
         "2e8c0f991c6637c7fe065ee445c50fb3f51e628b648f82b5f0a751e29531b8ad",
     (f"green --scheme custom {LW5_CUSTOM} --n 500 --method spectral"
      " --format json"):
-        "07d53e72bda400085833b7d56c9c8066f1416c935a23f4129a47ad15de5282b5",
+        "a81bd1da4f76710f041ddc74e1130108b4a2fe188c4e9e81d1bdc67a2dcbad51",
     f"green --scheme custom {LW5_CUSTOM} --n 500 --method direct":
         "2ba4bb1837a32020606f0b1490fdd1342eff37cc35ee85cee0079a08bf0d8442",
     (f"green --scheme custom {LW5_CUSTOM} --n 500 --method direct"
      " --format json"):
-        "b807579b6e705e526ab705e6d8a9d38cca1a803da7aaf664f323cdeb6a1419a3",
+        "0d9f9ab420e4ac1ea40ee34d2ac6da237d0f16dd179ac6d809af4ad97eba7041",
     f"evolve --scheme custom {LW5_CUSTOM} --lambda 0.5 --dx 0.05 --t 1.0":
         "9db617450f73b6072309b04ef2cf0525ed771b4f64c9ebcfbcc9c056c0ff3242",
     f"growth --scheme custom {LW5_CUSTOM}":
-        "4938d482f6ab5007b5f75e308d877e8b9345ed00ed85f0a879467d591e37fbb4",
+        "fe9e4eee9e651ada5313a51218575e536a9d44cd42ca1251da7545ad7dc07143",
     f"coeffs --scheme custom {COMPLEX_CUSTOM}":
         "dbf6f8bfb3cda1d07800d342cc1cadfe3252cd7ce1900b99cbe3c0a3963c583e",
     f"coeffs --scheme custom {COMPLEX_CUSTOM} --format json":
-        "0f9b737ffde62cd330720e6b520fb554ceefd8104fb51c7404497dd610f86d2b",
+        "b6b91ff4b509bd2e90a23ca4bcba9b54d0654b715481f48c0546a523ab96cec4",
     f"green --scheme custom {COMPLEX_CUSTOM} --n 500 --method spectral":
         "31218bf0a7a59e2d63a9bbaf0bb58bfb4192b9f48ea14be800c72cb3046ecc90",
     (f"green --scheme custom {COMPLEX_CUSTOM} --n 500 --method spectral"
      " --format json"):
-        "bb55d0ce4cefe11faea57fc1d1d6537609631cc54ace7fd4b006941531ac0903",
+        "31e6d59c353408e17a19f9de7c455289f4c0846de1492d65835e16da27ae836d",
     f"green --scheme custom {COMPLEX_CUSTOM} --n 500 --method direct":
         "ad5a535115f9682dc9f5cae180a776b0e4e8a5934b08b0cf7122010c40948605",
     (f"green --scheme custom {COMPLEX_CUSTOM} --n 500 --method direct"
      " --format json"):
-        "31f2cab5a193c31f6d337705589729e8683d9498d9f8310bc64e1843766d7c82",
+        "f6783307d76ec2af0ab589fa36256ddaadd9f268a19d9c84ceeb03d5808d6090",
     f"evolve --scheme custom {COMPLEX_CUSTOM} --lambda 0.5 --dx 0.05 --t 1.0":
         "6bacdc95f4c23220d97fe581a511216e85c3686861a0f9d4b8d105f67633260d",
     f"growth --scheme custom {COMPLEX_CUSTOM}":
-        "d59510f12d8a8adfb93e7158db051994a91c1a283528a2a248b21dcfe5e1aeef",
+        "bcd8827c59f7b315a5ee5ea431e9b5b5cddd3c6e02dac761fa5e908ac6d22ce6",
     "evolve --scheme custom --custom=3:0.5:0,4:0.5:0 --lambda 0.5"
     " --dx 0.05 --t 1.0":
         "17bb14d27b821885888bbe537dde73e0907d3eb79a51e31e06cf2616cd3eaede",
@@ -1010,15 +1040,15 @@ def test_public_names():
     assert set(dgreen.__all__) == set("""
         CONSERVATION_TOL C3_FLOOR C4_FLOOR KAPPA2_TOL AssumptionAudit Stencil
         SymbolExpansion assumption_audit beam_warming dissipation_check
-        expansion_coefficients lax_wendroff modulus_identity_check symbol_eval
+        expansion_coefficients lax_wendroff symbol_eval
         DEFAULT_MEMORY_BUDGET_MB MEMORY_BUDGET_ENV GreenTable GridFunction
-        MemoryBudgetError WorkBudgetError Norms cell_average_indicator
-        evolve green_direct green_spectral norms sample_step spectral_sweep
+        MemoryBudgetError WorkBudgetError
+        evolve green_direct green_spectral sample_step spectral_sweep
         ApproxParams airy_ai approx_G approx_H erf growth_constant FIT_SAFETY
-        FIT_WINDOW BoundReport BVReport GrowthReport bv_apply_bound bv_bounds
-        check_bound1 check_bound2 corollary1_sums envelope_reports
-        fit_decay_rate growth_series oscillation_side total_variation
+        FIT_WINDOW BoundReport BVReport GrowthReport bv_bounds
+        envelope_reports growth_series
         """.split())
+    assert len(dgreen.__all__) == 38
     assert all(hasattr(dgreen, name) for name in dgreen.__all__)
     # The library's optional parameters and dataclass fields, private ones
     # included: each is set to different values by callers in the package.
@@ -1039,6 +1069,42 @@ def test_public_names():
         "Stencil.__init__.label", "GridFunction.__init__.left_tail",
         "GridFunction.__init__.right_tail", "_expansion.normalization",
         "_spectral_window.reserve"}
+
+
+def test_public_names_have_callers():
+    """Every public name is read in src/dgreen or benchmark/ outside its own
+    top-level definition.
+
+    Reads inside the definition of a public name count only once that name
+    has a reader of its own, so a public helper whose one caller is another
+    name without callers has none either.
+    """
+    import dgreen
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    package = root / "src" / "dgreen"
+    public = set(dgreen.__all__)
+    reads = {}      # public name -> names its definition reads; None: rest
+    for path in [*package.glob("*.py"), *(root / "benchmark").glob("*.py")]:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(stmt, "name", None)
+            if isinstance(stmt, ast.Assign):
+                owner = getattr(stmt.targets[0], "id", None)
+            if path.parent != package or owner not in public:
+                owner = None
+            reads.setdefault(owner, set()).update(
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Attribute)
+                or isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load))
+    called = reads[None]
+    while True:
+        more = called.union(*(reads.get(name, ()) for name in called & public))
+        if more == called:
+            break
+        called = more
+    assert sorted(public - called) == []
 
 
 # Argument values for the fuzz: three draws in four ordinary, the rest zero,
@@ -1119,6 +1185,10 @@ _CASES = {
                     "bv --lambda 0.75 --n-list",
                     "bounds --lambda 0.75 --n-list")},
     "green --scheme custom --custom=0:-1:0 --n 9007199254740993": EXIT_MEMORY,
+    # An empty --out path, refused before anything runs.
+    "coeffs --lambda 0.75 --out=": EXIT_CONFIG,
+    # A grid too small for an oscillation side: the report says null.
+    "bounds --scheme lw --lambda 0.75 --n-list 20,40": EXIT_OK,
     # A separate --custom value with a negative first offset.
     "coeffs --scheme custom --custom -1:0.5:0,0:0.5:0": EXIT_OK,
     # Coefficient sums below the smallest normal float64.
@@ -1136,7 +1206,9 @@ _CASES = {
 
 def _with_cases(test):
     for case in _CASES:
-        test = example(argv=case.split(), target="file")(test)
+        # A case that sets --out runs with no second --out after it.
+        target = "stdout" if "--out" in case else "file"
+        test = example(argv=case.split(), target=target)(test)
     return test
 
 

@@ -1,9 +1,10 @@
-"""Count the code lines of src/dgreen, per module and in total.
+"""Count the code lines of src/dgreen and of tests, per file and in total.
 
 A code line holds at least one token that is neither a comment nor part of
 a docstring; blank lines, comment lines and docstring lines do not count.
 Docstrings are the leading string statements of the module, of each class
-and of each function.  Run from anywhere:
+and of each function.  Code moved from the package into the tests shows in
+the second table.  Run from anywhere:
 
     python tools/code_lines.py
 """
@@ -12,7 +13,8 @@ import ast
 import pathlib
 import tokenize
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dgreen"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TREES = (ROOT / "src" / "dgreen", ROOT / "tests")
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -43,12 +45,14 @@ def code_lines(path: pathlib.Path) -> int:
 
 
 def main() -> None:
-    total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path)
-        total += count
-        print(f"{path.name:16} {count:5d}")
-    print(f"{'total':16} {total:5d}")
+    for k, tree in enumerate(TREES):
+        print(("\n" if k else "") + tree.relative_to(ROOT).as_posix())
+        total = 0
+        for path in sorted(tree.glob("*.py")):
+            count = code_lines(path)
+            total += count
+            print(f"  {path.name:20} {count:5d}")
+        print(f"  {'total':20} {total:5d}")
 
 
 if __name__ == "__main__":
