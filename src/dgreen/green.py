@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stencil import KAPPA2_TOL, Stencil, _expansion, symbol_eval
+from .stencil import KAPPA2_TOL, Stencil, _expansion, _power_sums, symbol_eval
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET_MB",
@@ -290,10 +290,6 @@ def _fft_length(needed: int) -> int:
         p5 *= 5
 
 
-def _spectral_size(n: int, width: int) -> int:
-    return _fft_length(n * width + 1)
-
-
 def _check_budget(entries: int) -> None:
     """Raise MemoryBudgetError if `entries` complex128 values exceed budget.
 
@@ -330,12 +326,14 @@ def _window_plan(stencil: Stencil, n: int):
     """Drift alpha and the a-priori transform length of the windowed route.
 
     The length is None for non-conservative or degenerate stencils (kappa2
-    != 0, c3 or c4 at their floors), which take the alias-free grid.
+    != 0, c3 or c4 at their floors), which take the alias-free grid.  There
+    alpha is clamped into the support, so the lags stay no longer than its
+    width: the normalized drift of a stencil of small sum lies far outside.
     """
     e = _expansion(stencil)
     if not (stencil.is_conservative() and e.kappa2 <= KAPPA2_TOL
             and e.nondegenerate):
-        return e.alpha, None
+        return min(max(e.alpha, stencil.min_offset), stencil.max_offset), None
     wake = math.sqrt(_TAIL_LOG * 9.0 * e.c3 * e.c3 * n / e.c4)
     front = ((3.0 * abs(e.c3) * n) ** (1.0 / 3.0)
              * (1.5 * _TAIL_LOG) ** (2.0 / 3.0))
@@ -361,11 +359,6 @@ def _exp_tails(x: np.ndarray):
     cos_tail = np.where(small, cos_poly * x2 * x2, np.cos(x) - 1.0 + 0.5 * x2)
     sin_tail = np.where(small, sin_poly * x2 * x, np.sin(x) - x)
     return cos_tail, sin_tail
-
-
-def _exact_sum(values) -> complex:
-    return complex(math.fsum(v.real for v in values),
-                   math.fsum(v.imag for v in values))
 
 
 def _grid_sum(values: np.ndarray, half: bool):
@@ -395,16 +388,20 @@ def _aliased_coefficients(stencil: Stencil, n: int, size: int, alpha: float,
     #   (sum a - 1) + i m1 theta - m2 theta^2 / 2
     #   + sum a_l (c(x_l) + i s(x_l)),
     # m_k = sum a_l (l - alpha)^k, c(x) = cos x - 1 + x^2/2, s(x) = sin x - x.
-    # m1 and m2 vanish up to rounding for the paper's stencils, so every term
-    # is as small as z itself: z and log(1 + z) carry relative rounding, and
-    # the drift n*alpha*theta never enters the rounded phase.
-    total = stencil.coefficient_sum()
+    # The defect sum a - 1, m1 and m2 are exact sums of the float stencil,
+    # rounded once, so the route powers the stencil it was given.  They
+    # vanish up to rounding for the paper's stencils, so every term is as
+    # small as z itself: z and log(1 + z) carry relative rounding, and the
+    # drift n*alpha*theta never enters the rounded phase.
+    try:
+        defect, m1, m2 = _power_sums(stencil, alpha, 3)
+    except OverflowError:
+        raise ValueError(
+            "the moments of the stencil coefficients overflow") from None
     lags = [(coeff, offset - alpha) for offset, coeff in stencil.terms]
-    m1 = _exact_sum([coeff * lag for coeff, lag in lags])
-    m2 = _exact_sum([coeff * lag * lag for coeff, lag in lags])
-    z = (total - 1.0) + (1j * m1) * theta - (0.5 * m2) * theta ** 2
-    scale = (abs(total - 1.0) + abs(m1) * np.abs(theta)
-             + 0.5 * abs(m2) * theta ** 2)          # rounding scale of z
+    z = defect + (1j * m1) * theta - (0.5 * m2) * theta ** 2
+    # The rounding scale of z.
+    scale = abs(defect) + abs(m1) * np.abs(theta) + 0.5 * abs(m2) * theta ** 2
     slope = np.zeros(theta.shape, dtype=complex)    # d(1 + z)/d(i theta)
     for coeff, lag in lags:
         x = lag * theta
@@ -462,7 +459,7 @@ def _spectral_window(stencil: Stencil, n: int, reserve: float = 0):
         return GreenTable(n=n, min_offset=lo,
                           values=_shift_powers(stencil, np.array([n])),
                           method="spectral"), 0
-    full = _spectral_size(n, width)
+    full = _fft_length(n * width + 1)       # the alias-free length
     alpha, size = _window_plan(stencil, n)
     half = stencil.is_real
     # The window's envelope rates come from a real symbol expansion.

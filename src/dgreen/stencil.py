@@ -131,11 +131,6 @@ class Stencil:
         except OverflowError:   # |sum - 1| exceeds the largest float
             raise ValueError("stencil coefficient sum overflows") from None
 
-    def reflected(self) -> "Stencil":
-        """Spatial reflection a_l -> a_{-l}; flips the sign of odd cumulants."""
-        return Stencil(-self.max_offset, self.coefficients[::-1],
-                       label=self.label + "~" if self.label else "")
-
 
 def lax_wendroff(lam: float) -> Stencil:
     """Second order three point scheme for u_t + u_x = 0 at Courant number lam.
@@ -228,22 +223,43 @@ class SymbolExpansion:
         return abs(self.c3) > C3_FLOOR and self.c4 > C4_FLOOR
 
 
-def _expansion(stencil: Stencil,
-               normalization: complex = 1.0) -> SymbolExpansion:
-    """Cumulant expansion of log(F_a / normalization) through order five.
+def _power_sums(stencil: Stencil, center: float, count: int) -> list:
+    """sum_l a_l (l - center)^k - [k = 0] for k < count, as complex numbers.
 
-    The cumulants come from the exact power sums m_k = sum_l l^k a_l over
-    integer offsets, divided by the normalization.  residual5 comes from a
-    probe of the symbol near the origin.  Raises ValueError when the power
-    sums or the cumulants overflow.
+    Each sum is exact in the float coefficients and the float center and is
+    rounded once: integer numerators over the largest power-of-two
+    denominator, and one int / int division, which Python rounds correctly.
+    Raises OverflowError when a sum is outside the float range.
     """
+    num, den = float(center).as_integer_ratio()
+    # Each lag is (l - center) * den.  The term -1 at the center itself,
+    # where 0 ** 0 == 1, gives the -[k = 0].
+    lags = [0] + [offset * den - num for offset, _ in stencil.terms]
+    coeffs = [-1.0] + [coeff for _, coeff in stencil.terms]
+    ratios = [[c.real.as_integer_ratio() for c in coeffs],
+              [c.imag.as_integer_ratio() for c in coeffs]]
+    scale = max(d for part in ratios for _, d in part)
+    numerators = [[p * (scale // d) for p, d in part] for part in ratios]
+    return [complex(*[sum(p * lag ** k for p, lag in zip(part, lags))
+                      / (scale * den ** k) for part in numerators])
+            for k in range(count)]
+
+
+def _expansion(stencil: Stencil) -> SymbolExpansion:
+    """Cumulant expansion of log F_a through order five.
+
+    A non-conservative stencil is expanded as F_a / F_a(0), so its report
+    stays informative, unless its sum is below the smallest normal float64,
+    which dividing by would overflow.  The cumulants come from the exact
+    power sums m_k = sum_l l^k a_l of _power_sums, divided by that
+    normalization.  residual5 comes from a probe of the symbol near the
+    origin.  Raises ValueError when the power sums or the cumulants overflow.
+    """
+    total = stencil.coefficient_sum()
+    if stencil.is_conservative() or abs(total) < np.finfo(float).tiny:
+        total = 1.0
     try:
-        m = [complex(math.fsum(l ** k * c.real for l, c in stencil.terms),
-                     math.fsum(l ** k * c.imag for l, c in stencil.terms))
-             for k in range(1, 5)]
-        if normalization != 1.0:
-            m = [mk / normalization for mk in m]
-        m1, m2, m3, m4 = m
+        m1, m2, m3, m4 = [mk / total for mk in _power_sums(stencil, 0, 5)[1:]]
         k2 = m2 - m1 * m1
         k3 = m3 - 3 * m1 * m2 + 2 * m1 ** 3
         k4 = m4 - 4 * m1 * m3 - 3 * m2 * m2 + 12 * m1 * m1 * m2 - 6 * m1 ** 4
@@ -257,7 +273,7 @@ def _expansion(stencil: Stencil,
     # contamination (complex stencils) also lands in residual5.
     theta = np.linspace(-0.1, 0.1, 41)
     theta = theta[theta != 0.0]
-    symbol = symbol_eval(stencil, theta) / normalization
+    symbol = symbol_eval(stencil, theta) / total
     model = 1j * alpha * theta - 1j * c3 * theta ** 3 - c4 * theta ** 4
     residual5 = float(np.max(np.abs(np.log(symbol) - model)
                              / np.abs(theta) ** 5))
@@ -298,13 +314,8 @@ def assumption_audit(stencil: Stencil) -> AssumptionAudit:
     beyond rounding floors.  Non-conservative stencils are audited against
     the normalized symbol F_a / F_a(0) so the report stays informative.
     """
-    total = stencil.coefficient_sum()
     sums_to_one = stencil.is_conservative()
-    # A sum below the smallest normal float64 is taken as zero: dividing by
-    # it overflows the normalized symbol.
-    normalization = (total if not sums_to_one
-                     and abs(total) >= np.finfo(float).tiny else 1.0)
-    expansion = _expansion(stencil, normalization)
+    expansion = _expansion(stencil)
     dissipative, min_margin = dissipation_check(stencil)
     admissible = (sums_to_one and dissipative
                   and expansion.kappa2 <= KAPPA2_TOL

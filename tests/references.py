@@ -1,19 +1,28 @@
 """Independent references that the tests check the library against.
 
 Per-cell and per-pair restatements of what the library computes in
-vectorized form, and paper checks that the package reports rather than
-exports: the symbol modulus identities, Corollary 1's one-sided sums, the
-oscillation side and the BV bound of evolved data.
+vectorized form, paper checks that the package reports rather than
+exports (the symbol modulus identities, Corollary 1's one-sided sums, the
+oscillation side and the BV bound of evolved data), the spatial reflection
+of a stencil, exact rational power sums and a double-double direct route.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from dgreen.analysis import _step_grid
 from dgreen.approx import ApproxParams, approx_G
 from dgreen.green import GridFunction, evolve
-from dgreen.stencil import AUDIT_GRID, beam_warming, lax_wendroff, symbol_eval
+from dgreen.stencil import (AUDIT_GRID, Stencil, beam_warming, lax_wendroff,
+                            symbol_eval)
+
+
+def reflect(stencil):
+    """Spatial reflection a_l -> a_{-l}; flips the sign of odd cumulants."""
+    return Stencil(-stencil.max_offset, stencil.coefficients[::-1],
+                   label=stencil.label + "~" if stencil.label else "")
 
 
 def cell_average_indicator(x_lo: float, x_hi: float, half_width: float) -> float:
@@ -106,3 +115,61 @@ def bv_apply_bound(stencil, u: GridFunction, n_values):
         sup_linf = max(sup_linf, float(np.max(np.abs(u.values))),
                        abs(u.left_tail), abs(u.right_tail))
     return sup_linf, bv_norm
+
+
+def power_sums(stencil, center, count):
+    """sum_l a_l (l - center)^k - [k = 0] for k < count, each part summed in
+    exact rationals and converted to float once."""
+    center = Fraction(center)
+    sums = []
+    for k in range(count):
+        re = sum(Fraction(a.real) * (l - center) ** k
+                 for l, a in stencil.terms)
+        im = sum(Fraction(a.imag) * (l - center) ** k
+                 for l, a in stencil.terms)
+        sums.append(complex(float(re - (k == 0)), float(im)))
+    return sums
+
+
+def _two_sum(a, b):
+    """Knuth's TwoSum: s = fl(a + b) and s + e == a + b exactly."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _split(x):
+    """Veltkamp's split of x into two halves of 26 bits: x == hi + lo."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_prod(a, b):
+    """Dekker's TwoProd: p = fl(a * b) and p + e == a * b exactly."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def dd_green(stencil, n):
+    """G^n of a real stencil on its whole support, rounded to float64 from
+    a double-double table.
+
+    Direct convolution from the delta, each entry carried as an unevaluated
+    sum hi + lo and renormalized after every term, so the table is accurate
+    to far below the rounding of one float64 entry.
+    """
+    kernel = stencil.as_array().real.tolist()
+    hi, lo = np.array([1.0]), np.array([0.0])
+    for _ in range(n):
+        new_hi, new_lo = np.zeros((2, len(hi) + len(kernel) - 1))
+        for shift, a in enumerate(kernel):
+            part = slice(shift, shift + len(hi))
+            p, e = _two_prod(a, hi)
+            s, t = _two_sum(new_hi[part], p)
+            t += new_lo[part] + e + a * lo
+            new_hi[part] = s + t
+            new_lo[part] = t - (new_hi[part] - s)
+        hi, lo = new_hi, new_lo
+    return hi

@@ -13,7 +13,7 @@ from dgreen.green import (GreenTable, GridFunction, WorkBudgetError,
                           spectral_sweep)
 from dgreen.stencil import Stencil, beam_warming, expansion_coefficients, lax_wendroff
 from references import (bv_apply_bound, corollary1_sums, oscillation_side,
-                        total_variation)
+                        reflect, total_variation)
 
 LW34 = lax_wendroff(0.75)
 LW34_E = expansion_coefficients(LW34)
@@ -76,7 +76,7 @@ class TestBoundChecks:
         # same distances, mirrored stencils: constants agree exactly
         bw = beam_warming(0.5)
         bw_e = expansion_coefficients(bw)
-        rw = bw.reflected()
+        rw = reflect(bw)
         rw_e = expansion_coefficients(rw)
         g = green_direct(bw, 400)
         h = green_direct(rw, 400)
@@ -88,7 +88,7 @@ class TestBoundChecks:
     def test_reports_switch_with_c3(self):
         bw = beam_warming(0.5)
         reports = envelope_reports(bw, (200, 400))
-        mirrored = envelope_reports(bw.reflected(), (200, 400))
+        mirrored = envelope_reports(reflect(bw), (200, 400))
         assert reports[2] == "right" and mirrored[2] == "left"
         for rep, ref in zip(reports[:2], mirrored[:2]):
             assert rep.c_used == pytest.approx(ref.c_used, rel=1e-12)
@@ -268,7 +268,7 @@ class TestOneSidedSums:
     def test_negative_c3_sides(self):
         bw = beam_warming(0.5)
         rep1, rep2, _ = envelope_reports(bw, (400,))
-        ref1, ref2, _ = envelope_reports(bw.reflected(), (400,))
+        ref1, ref2, _ = envelope_reports(reflect(bw), (400,))
         (_, right), = rep1.sum_per_n
         (_, left_diff), = rep2.sum_per_n
         assert right > 0 and left_diff > 0
@@ -292,10 +292,10 @@ class TestGrowthSeries:
         assert_allclose(rep.ratios, [64 ** -0.125, 256 ** -0.125],
                         atol=1e-12)
 
-    def test_negative_c3_uses_reflection(self):
+    def test_negative_c3_matches_reflection(self):
         bw = beam_warming(0.5)
         rep = growth_series(bw, (100, 400))
-        ref = growth_series(bw.reflected(), (100, 400))
+        ref = growth_series(reflect(bw), (100, 400))
         assert rep.ell_target == pytest.approx(ref.ell_target, rel=1e-15)
         assert_allclose(rep.l1_values, ref.l1_values, rtol=1e-12)
 
@@ -314,6 +314,14 @@ class TestBVBounds:
         gaps = [abs(a - b) for a, b in zip(rep.sup_cumsum_per_n,
                                            rep.heaviside_linf_per_n)]
         assert max(gaps) <= 1e-12
+
+    @pytest.mark.parametrize("stencil", [lax_wendroff(0.3),
+                                         beam_warming(0.36)])
+    def test_routes_power_one_stencil(self, stencil):
+        # Float coefficients that sum to 1 + delta: a spectral route that
+        # powered a stencil of sum 1 read gaps of 1.3e-13 and 3.1e-13.
+        rep = bv_bounds(stencil, (100, 1000, 3000))
+        assert rep.max_identity_gap <= 1e-14
 
     def test_verdict_in_report(self):
         rep = bv_bounds(LW34, (100, 1000, 3000))

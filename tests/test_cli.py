@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import inspect
 import io
@@ -269,6 +270,24 @@ class TestExitCodes:
             assert capsys.readouterr().err == (
                 "error: stencil coefficient sum overflows\n")
             assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # m2 itself leaves the float range.
+        ("coeffs", "--custom", "0:1e300:0,100000:-1e300:0,1:1:0"),
+        ("green", "--n", "2", "--custom", "0:1e300:0,100000:-1e300:0,1:1:0"),
+        # The cumulants of F / F(0) are finite; m2 about the support's left
+        # edge, where the spectral route centers the lags, is not.
+        ("green", "--n", "1", "--custom", "-1:6e307:0,0:1e300:0,1:-6e307:0"),
+    ])
+    def test_overflowing_moments_refused(self, tmp_path, capsys, argv):
+        out = tmp_path / "artifact"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(*argv, "--scheme", "custom", "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: the moments of the stencil coefficients overflow\n")
+        assert not out.exists()
 
     def test_bv_converts_coefficients_once(self, monkeypatch, capsys):
         # Stencil converts its coefficient tuple to an array once; every
@@ -792,7 +811,13 @@ COMPLEX_CUSTOM = _COMPLEX[-1]
 # Every JSON digest here was re-taken at schema_version 2, after a check
 # that each report differed from its schema 1 bytes in the version line
 # alone, and a bounds report also in its added sum_per_n and
-# oscillation_side keys.
+# oscillation_side keys.  Six were re-taken when the spectral route began
+# to power the stencil it was given, with exact moment sums, and growth
+# stopped reflecting c3 < 0 stencils: the bv reports of LW 0.3, 0.49 and
+# BW 0.36, 1.8 (their direct-route fields unchanged, the spectral sups
+# within 3e-13 relative, the route gap no larger) and the growth reports
+# of BW 0.5 and the complex custom (l1 and ratios within 1e-15 relative,
+# every other field unchanged).
 REPORT_SHA256 = {
     "bounds --scheme lw --lambda 0.75":
         "f2bfd11c41df02e6bcba3f2d69c46a98bad91cb44bbe53f408f4777d129edd30",
@@ -801,11 +826,11 @@ REPORT_SHA256 = {
     "bounds --scheme lw --lambda 0.3":
         "675621f82752ad07e48ddcb8dfabd8c0126579c63029a10756d40ba82ab0497f",
     "bv --scheme lw --lambda 0.3 --n-list 100,1000,3000":
-        "bcce19669ecfec9d36895d8f452cc39ad890ff89c12f060142cb0ac91de2b73b",
+        "3209f5a9eecfa026cd530609f77265ecb398e54cde40e14fb4433d71691b90f2",
     "bounds --scheme lw --lambda 0.49":
         "a20b70554276144ac5b9384f977985c8047edf6aac85d0ff9fabd6ee8e7cb67e",
     "bv --scheme lw --lambda 0.49 --n-list 100,1000,3000":
-        "4046dbd7d0bee127025b0f0692320077912cc81849549ad0bcb6d893e682ab92",
+        "0ecce3e9eed10aa30e2015d6130ab7770803f7301f030ab74eff60587991d9fd",
     "bounds --scheme bw --lambda 0.5":
         "79660b0d0ae479cb23265b949b074f31b4022feef2b8b289ee7400ff4fff8367",
     "bv --scheme bw --lambda 0.5 --n-list 100,1000,3000":
@@ -813,7 +838,7 @@ REPORT_SHA256 = {
     "bounds --scheme bw --lambda 0.36":
         "93efea06e2f74939f9615afa50d652be8a6e60e1736d2b6d92439c3942a15569",
     "bv --scheme bw --lambda 0.36 --n-list 100,1000,3000":
-        "6da078c83221a4445bd27dc5a1cf7aa1c69f68e231e96c4afd6559446706221a",
+        "50cc3a89f421e312949d5a691ef588c9c27cc968db6569c8b054c64d92248de3",
     "bounds --scheme bw --lambda 1.5":
         "862ca1a9d8b5874b01f98fc4342e0f8747e80b8736fc7e076a31b5bbe700d01b",
     "bv --scheme bw --lambda 1.5 --n-list 100,1000,3000":
@@ -821,7 +846,7 @@ REPORT_SHA256 = {
     "bounds --scheme bw --lambda 1.8":
         "9a49d6bf7866fb2e247288333ae38f7ff63e81e09837339b475a8163e7e1deea",
     "bv --scheme bw --lambda 1.8 --n-list 100,1000,3000":
-        "3c5353015beb7032300539c669105d398310a44423670c4903dacb55c7c3a0a7",
+        "f24fec98caed5016c64adc58d629e9694f3acb65a24ed1bfe4d76103a6b12b89",
     f"bounds --scheme custom {LW5_CUSTOM}":
         "3df8d2ca8c03406044c3f56a0c6602fe6f18cf5e878f136587b9e0ada2f6a8ce",
     f"bv --scheme custom {LW5_CUSTOM} --n-list 100,1000,3000":
@@ -866,7 +891,7 @@ REPORT_SHA256 = {
     "evolve --scheme bw --lambda 0.5 --dx 0.05 --t 1.0":
         "8dfc292656a7aaf2de9c691504d05e388315bca7fb8f3909618270aaa4895b7a",
     "growth --scheme bw --lambda 0.5":
-        "9b8bd4036dbe5652043a018a23370e03d1569daa30b1f0ce41fd5ae0ea229700",
+        "b282ea8fceebf52267f03a75340dfe499a98bb07b676343ac4840d00807a8b38",
     "coeffs --scheme bw --lambda 1.5":
         "121a2283864c363d398175413156b31e53cc1b2a29c7dae994754c5470af7397",
     "coeffs --scheme bw --lambda 1.5 --format json":
@@ -918,7 +943,7 @@ REPORT_SHA256 = {
     f"evolve --scheme custom {COMPLEX_CUSTOM} --lambda 0.5 --dx 0.05 --t 1.0":
         "6bacdc95f4c23220d97fe581a511216e85c3686861a0f9d4b8d105f67633260d",
     f"growth --scheme custom {COMPLEX_CUSTOM}":
-        "bcd8827c59f7b315a5ee5ea431e9b5b5cddd3c6e02dac761fa5e908ac6d22ce6",
+        "e8b2b69cc80ef01d7edd9487c60e69e62ba255c96a79b923fc980212b99e9002",
     "evolve --scheme custom --custom=3:0.5:0,4:0.5:0 --lambda 0.5"
     " --dx 0.05 --t 1.0":
         "17bb14d27b821885888bbe537dde73e0907d3eb79a51e31e06cf2616cd3eaede",
@@ -1067,8 +1092,7 @@ def test_public_names():
                         if p.default is not p.empty)
     assert defaulted == {
         "Stencil.__init__.label", "GridFunction.__init__.left_tail",
-        "GridFunction.__init__.right_tail", "_expansion.normalization",
-        "_spectral_window.reserve"}
+        "GridFunction.__init__.right_tail", "_spectral_window.reserve"}
 
 
 def test_public_names_have_callers():
@@ -1105,6 +1129,36 @@ def test_public_names_have_callers():
             break
         called = more
     assert sorted(public - called) == []
+
+
+def test_public_methods_have_callers():
+    """Every method and property of a class in dgreen.__all__ is read as
+    an attribute in src/dgreen or benchmark/ outside its own definition."""
+    import dgreen
+
+    members = {(cls.__name__, name)
+               for cls in map(vars(dgreen).get, dgreen.__all__)
+               if inspect.isclass(cls)
+               for name, member in vars(cls).items()
+               if not name.startswith("__")
+               and (inspect.isfunction(member) or isinstance(member, (
+                   property, classmethod, staticmethod,
+                   functools.cached_property)))}
+    root = pathlib.Path(__file__).resolve().parent.parent
+    read = set()
+
+    def visit(node, inside):
+        if isinstance(node, ast.Attribute) and node.attr not in inside:
+            read.add(node.attr)
+        if isinstance(node, ast.FunctionDef):
+            inside = inside | {node.name}
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for path in [*(root / "src" / "dgreen").glob("*.py"),
+                 *(root / "benchmark").glob("*.py")]:
+        visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    assert sorted(m for m in members if m[1] not in read) == []
 
 
 # Argument values for the fuzz: three draws in four ordinary, the rest zero,
@@ -1172,6 +1226,13 @@ _CASES = {
     "green --scheme custom --custom=0:1e200:0,1:-1e200:0,2:1:0 --n 3":
         EXIT_CONFIG,
     "green --scheme custom --custom=0:1e10:0,1:1:0 --n 100": EXIT_CONFIG,
+    # Moments that leave the float range: m2 itself, or m2 about the drift.
+    "coeffs --scheme custom --custom=0:1e300:0,100000:-1e300:0,1:1:0":
+        EXIT_CONFIG,
+    "green --scheme custom --custom=0:1e300:0,100000:-1e300:0,1:1:0 --n 2":
+        EXIT_CONFIG,
+    "green --scheme custom --custom=-1:6e307:0,0:1e300:0,1:-6e307:0 --n 1":
+        EXIT_CONFIG,
     "green --scheme custom --custom=0:2:0 --n 2000 --format json": EXIT_CONFIG,
     "growth --lambda 0.75 --growth-tol nan": EXIT_CONFIG,
     "green --scheme custom --custom=0:1:0 --n 1000000000 --method direct":

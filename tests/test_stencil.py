@@ -4,12 +4,15 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dgreen import stencil as stencil_module
 from dgreen.stencil import (
     CONSERVATION_TOL,
     Stencil,
+    _power_sums,
     assumption_audit,
     beam_warming,
     dissipation_check,
@@ -17,7 +20,7 @@ from dgreen.stencil import (
     lax_wendroff,
     symbol_eval,
 )
-from references import modulus_identity_check
+from references import modulus_identity_check, power_sums, reflect
 
 LW_LAMBDAS = (0.25, 0.5, 0.75)
 BW_LAMBDAS = (0.5, 1.5)
@@ -133,10 +136,10 @@ class TestStencil:
 
     def test_reflection_involution(self):
         s = beam_warming(0.5)
-        r = s.reflected()
+        r = reflect(s)
         assert r.min_offset == -s.max_offset
         assert_allclose(r.as_array(), s.as_array()[::-1], atol=0)
-        assert_allclose(r.reflected().as_array(), s.as_array(), atol=0)
+        assert_allclose(reflect(r).as_array(), s.as_array(), atol=0)
 
 
 class TestSchemes:
@@ -221,7 +224,48 @@ class TestSymbol:
         assert margin <= 1e-15
 
 
+# Coefficient parts and centers: moderate values, and any finite float, so
+# that sums leave the float range too.
+_PARTS = st.one_of(st.floats(-2.0, 2.0),
+                   st.floats(allow_nan=False, allow_infinity=False))
+_CENTERS = st.one_of(st.floats(-4e5, 4e5),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def sparse_stencils(draw):
+    """The nonzero terms of real or complex stencils of 2 to 7 terms with
+    offsets up to +-400000.  _power_sums reads a stencil's terms alone, so
+    a namespace of them stands for a stencil of any span."""
+    offsets = draw(st.lists(st.integers(-400000, 400000), min_size=2,
+                            max_size=7, unique=True))
+    imag = _PARTS if draw(st.booleans()) else st.just(0.0)
+    coeffs = st.builds(complex, _PARTS, imag).filter(bool)
+    return types.SimpleNamespace(terms=tuple(
+        (offset, draw(coeffs)) for offset in sorted(offsets)))
+
+
 class TestExpansion:
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None)
+    @given(stencil=sparse_stencils(), center=_CENTERS,
+           count=st.integers(1, 5))
+    def test_power_sums_are_exact(self, stencil, center, count):
+        try:
+            expected = power_sums(stencil, center, count)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _power_sums(stencil, center, count)
+        else:
+            assert _power_sums(stencil, center, count) == expected
+
+    def test_power_sums_of_lax_wendroff(self):
+        # The float coefficients of LW 0.3 sum to 1 + 4.16e-17, which fsum
+        # rounds to 1; the defect itself is exact.
+        s = lax_wendroff(0.3)
+        assert s.coefficient_sum() == 1.0
+        assert _power_sums(s, 0.0, 1) == [3 * 2.0 ** -56]
+
     @pytest.mark.parametrize("lam", LW_LAMBDAS)
     def test_lw_closed_forms(self, lam):
         e = expansion_coefficients(lax_wendroff(lam))
@@ -253,7 +297,7 @@ class TestExpansion:
     def test_reflection_flips_c3(self):
         s = beam_warming(0.5)
         e = expansion_coefficients(s)
-        r = expansion_coefficients(s.reflected())
+        r = expansion_coefficients(reflect(s))
         assert r.c3 == pytest.approx(-e.c3, rel=1e-14)
         assert r.c4 == pytest.approx(e.c4, rel=1e-14)
         assert r.alpha == pytest.approx(-e.alpha, rel=1e-14)
