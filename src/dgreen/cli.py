@@ -385,8 +385,8 @@ def cmd_evolve(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
                   + 12 * (cells + n * s.support_width))
     u0 = sample_step(cfg.dx, cfg.half_width, -j_half - 1, j_half + 1)
     un = evolve(s, u0, n)
-    # u0 on un's window, tails included: the cells beyond u0's own window
-    # lie off the step, so they average to 0 like u0's tails.
+    # u0 on un's window: the cells beyond u0's own window lie off the step,
+    # so they average to 0, the value of u0 outside its window.
     u0_col = sample_step(cfg.dx, cfg.half_width, un.min_index,
                          un.max_index).values.real
     x = (np.arange(un.min_index, un.max_index + 1) + 0.5) * cfg.dx

@@ -2,11 +2,13 @@
 
 The Green's function of n steps is the n-fold self convolution of the stencil
 coefficients: G^n = L_a^n delta.  Two routes compute it.  The direct route
-iterates np.convolve (cost at most O(n^2 |support|), in float64 for real
-stencils) over the span of entries in the normal float range: tails that
-underflow below the smallest normal float64 are exact zeros, since a
-subnormal entry costs a convolution about 75 times a normal one.  It is the
-oracle, and evolve convolves grid data with its table.  The spectral route
+powers the coefficient array by repeated squaring, G^(a+b) = G^a * G^b:
+about log2(n) convolutions of the spans whose entries are in the normal
+float range, tails below the smallest normal float64 being exact zeros.
+Short factors, and the levels whose rounding would recur many times in
+G^n, are convolved in extended precision and rounded once, so the table
+is within a few eps of its peak of the exact one.  It is the oracle, and
+evolve convolves grid data with its table.  The spectral route
 samples the n-th power of the symbol and inverts the DFT.  For
 stencils meeting the paper's assumptions the mass of G^n sits in an O(sqrt n)
 window around the front j = alpha*n, so the route samples only as many
@@ -21,6 +23,7 @@ may be twice.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import os
@@ -48,14 +51,18 @@ MEMORY_BUDGET_ENV = "DG_MEMORY_BUDGET_MB"
 DEFAULT_MEMORY_BUDGET_MB = 512.0
 
 
-# Cap on the entries a convolution step loop touches.  A loop of `steps`
-# steps that starts from a window of `start` entries touches about
-# start + steps * (start + steps * width) of them if no tail underflows.
-# The direct route steps only the span of normal-range entries, which for
-# the paper's stencils grows like sqrt(n), so the cap overestimates their
-# work: at the cap (n = 31622, width 2) green_direct takes about 0.16 s
-# for Lax-Wendroff 3/4 and Beam-Warming 0.36 and 3.5 s for a complex
-# 3-point stencil on a 2-CPU x86 box.
+# Cap on the size of an n-step computation: a loop of `steps` steps from a
+# window of `start` entries would touch start + steps * (start + steps *
+# width) entries.  It bounds the largest step count of the direct route
+# and of evolve.  The route does at most a product per set bit of each n
+# of its list, each reading spans no longer than the largest table, so a
+# list of n costs about as much as one step loop to its largest n.  The
+# CLI also holds the span of a custom stencil to it.  At the cap
+# (n = 31622, width 2) green_direct takes 27 ms for Lax-Wendroff 3/4,
+# 32 ms for Beam-Warming 0.36, 36 ms for Lax-Wendroff 0.3 and 0.21 s for
+# a complex 3-point stencil (minimum of 3 runs), and every n from 1 to
+# the cap takes 6.8 s for Lax-Wendroff 3/4 and 9.5 s for the complex
+# stencil, against 4.5 s and 7.3 s for the step loop (2-CPU x86 box).
 WORK_LIMIT = 2e9
 
 # Window sizing of the spectral route.  The wake of G^n is damped like
@@ -74,13 +81,14 @@ _SWEEP_BLOCK = 8
 
 
 class MemoryBudgetError(RuntimeError):
-    """Raised when a transform or a convolution loop would exceed the
-    memory budget."""
+    """Raised when a transform, the direct route's tables or evolve's
+    output would exceed the memory budget."""
 
 
 class WorkBudgetError(RuntimeError):
-    """Raised when a convolution step loop would exceed WORK_LIMIT, or a
-    step count exceeds 2**53."""
+    """Raised when the largest step count of the direct route or evolve
+    exceeds WORK_LIMIT by _check_work's measure, a step count exceeds
+    2**53, or the CLI's custom stencil spans too many offsets."""
 
 
 @dataclass(frozen=True)
@@ -121,14 +129,11 @@ class GreenTable:
 class GridFunction:
     """A doubly infinite grid sequence stored on a finite window.
 
-    Outside the stored window the sequence takes the declared constant tail
-    values.
+    Outside the stored window the sequence is zero.
     """
 
     min_index: int
     values: np.ndarray
-    left_tail: complex = 0.0
-    right_tail: complex = 0.0
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -142,10 +147,15 @@ class GridFunction:
 
 
 def _check_work(steps, start, width: int) -> None:
-    """Raise WorkBudgetError before a step loop that would exceed WORK_LIMIT.
+    """Raise WorkBudgetError before `steps` steps from data of `start`
+    entries if a step loop over them would touch more than WORK_LIMIT
+    entries, start + steps * (start + steps * width).
 
-    steps and start may be floats, inf included, so callers can check a
-    loop before they round its size to integers.
+    The measure caps the largest step count.  Evolve and the direct route
+    at one n do far less work than such a loop, and a whole list of n
+    costs the direct route about as much as one loop to its largest n.
+    steps and start may be floats, inf included, so callers can check
+    before they round to integers.
     """
     work = start + steps * (start + steps * width)
     if not work <= WORK_LIMIT:
@@ -195,33 +205,244 @@ def _shift_powers(stencil: Stencil, n_values) -> np.ndarray:
         return np.power(powers, n_values, out=powers).astype(complex)
 
 
-def _direct_tables(stencil: Stencil, n_values):
-    """Yield green_direct(stencil, n) for each n of the sorted list n_values.
+class _LongDouble:
+    """Extended precision in numpy's long double, used where it is the x87
+    80-bit format of x86-64, 63 mantissa bits.
 
-    One convolution loop serves the whole list, so it costs the steps of the
-    largest n alone.  Real stencils convolve in float64 and cast each table
-    to complex128 once.  WorkBudgetError for the largest n is raised before
-    anything is allocated, and so is MemoryBudgetError for its table held
-    three times in complex128: the caller's last table, the buffer, and a
-    step's convolution or the table being handed out (the traced peak of a
-    loop).
-
-    Underflow rule: the loop keeps a live span [lo, hi) of one buffer the
-    size of the largest table.  Each step convolves the span alone, then
-    walks both ends of the result inward past entries with |G| below
-    _TINY, the smallest normal float64.  Everything outside the span is an
-    exact +0.0; entries inside it keep full IEEE semantics.  A subnormal
-    entry costs np.convolve 70 to 80 times a normal one (47 against 0.6 ns
-    on a 2-CPU x86 box), and the far tails of a table at n = 3000 hold
-    hundreds of them, so without the rule they took most of each late step
-    and the cost of a step depended on lambda.  What the rule drops is
-    below 1e-300 of absolute value: against a loop over the whole support
-    (the tests' reference, across Lax-Wendroff and Beam-Warming lambdas,
-    complex and 5-point stencils, n up to 3000) entries of |G| >= 1e-280
-    keep their bits and none moves by more than 1e-300.
+    Its arrays are 1-d long double arrays, complex long double for complex
+    stencils.
     """
-    _check_work(n_values[-1], 1, stencil.support_width)
-    _check_budget(3 * (n_values[-1] * stencil.support_width + 1))
+
+    @staticmethod
+    def widen(x):
+        """x in this precision, from float64, long double or double-double."""
+        if x.ndim == 2:
+            return _LongDouble.widen(x[0]) + x[1]
+        return x.astype(np.clongdouble if x.dtype.kind == "c"
+                        else np.longdouble, copy=False)
+
+    @staticmethod
+    def convolve(a, b):
+        return np.convolve(a, b)
+
+
+class _DoubleDouble:
+    """Extended precision as unevaluated sums hi + lo of float64 (complex128
+    for complex stencils) values: for the squarings whose rounding recurs
+    most, and in place of _LongDouble where long double is shorter.
+
+    Its arrays have shape (2, m): the hi row and the lo row.  Products shift
+    and add over the shorter factor with Dekker's TwoProd and Knuth's
+    TwoSum, renormalizing after every term; complex factors take four real
+    products.
+    """
+
+    @staticmethod
+    def widen(x):
+        """x in this precision, from float64 or double-double."""
+        return x if x.ndim == 2 else np.stack([x, np.zeros_like(x)])
+
+    @staticmethod
+    def convolve(a, b):
+        if a.shape[1] > b.shape[1]:
+            a, b = b, a
+        out = np.zeros((2, a.shape[1] + b.shape[1] - 1), dtype=a.dtype)
+        if a.dtype.kind != "c":
+            _dd_accumulate(out, a, b)
+            return out
+        for part, terms in ((out.real, ((a.real, b.real), (-a.imag, b.imag))),
+                            (out.imag, ((a.real, b.imag), (a.imag, b.real)))):
+            for x, y in terms:
+                _dd_accumulate(part, x, y)
+        return out
+
+
+def _split(x):
+    """Veltkamp's split of x into two halves of 26 bits: x == hi + lo."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _dd_accumulate(out, a, b):
+    """Add a * b into out for real double-double arrays a of shape (2, m)
+    and b of shape (2, L), by shift and add over the m entries of a; out
+    has shape (2, m + L - 1) and may be a view."""
+    hi, lo = out
+    (b_hi, b_lo), (bh, bl) = b, _split(b[0])
+    for k, (x_hi, x_lo) in enumerate(a.T):
+        part = slice(k, k + b.shape[1])
+        xh, xl = _split(x_hi)
+        p = x_hi * b_hi                                     # TwoProd
+        e = ((xh * bh - p) + xh * bl + xl * bh) + xl * bl
+        s = hi[part] + p                                    # TwoSum
+        v = s - hi[part]
+        t = (hi[part] - (s - v)) + (p - v)
+        t += lo[part] + e + x_hi * b_lo + x_lo * b_hi
+        hi[part] = s + t
+        lo[part] = t - (hi[part] - s)
+
+
+def _narrow(x):
+    """x rounded to float64 (complex128) from any of the precisions."""
+    if x.ndim == 2:
+        return x[0] + x[1]
+    return x.astype(complex if x.dtype.kind == "c" else float, copy=False)
+
+
+def _lead(x):
+    """The part of x, in any of the precisions, that sizes its entries."""
+    return x[0] if x.ndim == 2 else x
+
+
+# The extended precision of the direct route, chosen once.  Long double
+# is taken in the one format that was measured, x87's: a 112-bit long
+# double runs in software.
+_EXTENDED = (_LongDouble if np.finfo(np.longdouble).nmant == 63
+             else _DoubleDouble)
+
+# The direct route's precision rule (see _direct_tables): a result that
+# recurs at least _DD_REPEATS times in the largest table is computed in
+# double-double; one that recurs at least _WIDE_REPEATS times, or has a
+# shorter factor of at most _SHORT entries, in _EXTENDED, and it stays
+# there if it recurs that often or has at most _SHORT entries.  A short
+# factor times a long one runs in blocks of _BLOCK outputs.
+_SHORT = 500
+_WIDE_REPEATS = 4
+_DD_REPEATS = 1024
+_BLOCK = 1024
+
+
+def _trim(start: int, values, lead):
+    """The span (start, values) without the entries at either end whose
+    |lead| is below _TINY; a nan is never trimmed.  A trimmed span is a
+    copy, so the untrimmed product is freed."""
+    small = np.abs(lead) < _TINY
+    lo = int(small.argmin())
+    if small[lo]:                   # the whole power has underflowed
+        return start, values[..., :0]
+    hi = len(small) - int(small[::-1].argmin())
+    if hi - lo == len(small):
+        return start, values
+    return start + lo, values[..., lo:hi].copy()
+
+
+def _mixed_product(wide, a, b):
+    """a * b in the precision `wide` for a factor `a` of at most _SHORT
+    entries and a longer b, rounded to float64 (complex128) once.
+
+    Each block of _BLOCK outputs convolves `a` with the part of b that it
+    reads, so neither b nor the product is ever held wide in full.
+    """
+    a, m = wide.widen(a), a.shape[-1]
+    out = np.empty(m + b.shape[-1] - 1,
+                   dtype=complex if b.dtype.kind == "c" else float)
+    for i in range(0, len(out), _BLOCK):
+        j = max(i - m + 1, 0)           # b[j] is the first entry block i reads
+        part = wide.convolve(a, wide.widen(b[..., j:i + _BLOCK]))
+        out[i:i + _BLOCK] = _narrow(part[..., i - j:i - j + _BLOCK])
+    return out
+
+
+def _span_product(a, b, repeats: int):
+    """The trimmed span of G^(p+q) from the spans (start, values) of G^p
+    and G^q, start being the index of values[0] in the support, in the
+    precision that _direct_tables' rule gives a result that recurs
+    `repeats` times in the largest table."""
+    (start_a, va), (start_b, vb) = sorted((a, b), key=lambda s: s[1].shape[-1])
+    start = start_a + start_b
+    if not va.shape[-1]:
+        return start, va
+    keep = repeats >= _WIDE_REPEATS
+    if repeats >= _DD_REPEATS:
+        wide = _DoubleDouble
+    elif keep or va.shape[-1] <= _SHORT:
+        wide = _EXTENDED
+    else:
+        wide = None
+    # Powers that overflow give non-finite entries, which GreenTable
+    # refuses; numpy's warnings on the way would only repeat that.
+    with np.errstate(all="ignore"):
+        if wide is None:
+            out = np.convolve(_narrow(va), _narrow(vb))
+        elif keep or vb.shape[-1] <= _SHORT:
+            out = wide.convolve(wide.widen(va), wide.widen(vb))
+        else:
+            out = _mixed_product(wide, va, vb)
+        start, out = _trim(start, out, _lead(out))
+        if not keep and out.shape[-1] > _SHORT:
+            out = _narrow(out)
+    return start, out
+
+
+def _power_span(tower: list, e: int, n_max: int, keep: int):
+    """The span of G^e: the product of the tower levels G^(2^k) for the set
+    bits k of e, the shortest first.
+
+    The tower grows by squaring its top level until it reaches e, in the
+    precision of a level that recurs n_max / 2^k times.  Levels from `keep`
+    on are dropped once they have been used: no later exponent needs them.
+    """
+    power = None
+    for k in range(e.bit_length()):
+        if k == len(tower):
+            tower.append(_span_product(tower[-1], tower[-1], n_max >> k))
+        if k > keep:
+            tower[k - 1] = None
+        if e >> k & 1:
+            power = (tower[k] if power is None
+                     else _span_product(power, tower[k], 1))
+    del tower[keep:]
+    return power
+
+
+def _direct_tables(stencil: Stencil, n_values):
+    """Yield the direct tables G^n for each n of the sorted list n_values.
+
+    One squaring tower serves the whole list: level k holds the span of
+    G^(2^k), built from level k - 1 by one convolution.  Each G^n is the
+    product of the levels of the set bits of n, with popcount(n) - 1
+    products, or, when the previous n of the list, m, is more than half
+    of n, of G^m and the levels of the set bits of n - m.  So a list that
+    doubles builds each n from the tower, a dense one takes one short
+    product per n, as a step loop would, and the tower keeps only the
+    levels of such short gaps.  A list costs at most floor(log2(max n))
+    squarings and a product per set bit of each n, and every product
+    reads spans no longer than the largest table.  Each table is cast to
+    complex128 once.
+    WorkBudgetError for the largest n is raised before anything is
+    allocated, and so is MemoryBudgetError for its table held three times
+    in complex128: the caller's last table, the tower with the factors of
+    the last product, and that product or the table being handed out.
+    Tower levels are dropped once no later n needs them, and the next
+    table reads the values of the last one, which must not be written to.
+
+    Precision rule: a level of s steps enters G^n about n / s times, and
+    its rounding error with it, so the levels that recur often are kept
+    unrounded.  Squarings whose result recurs at least 1024 times in the
+    largest table run in double-double; those whose result recurs at
+    least 4 times, and every product whose shorter factor has at most 500
+    entries, in _EXTENDED (numpy's long double where it is the x87
+    format, else double-double); the rest in float64, complex128 for
+    complex stencils.  A result of more than 500 entries that recurs
+    fewer than 4 times is rounded to float64 once.
+    Measured against double-double references, the tables stay within
+    6.1e-16 of their peak for Lax-Wendroff and Beam-Warming stencils at
+    n = 4000 to the work cap, where float64 squaring of every level beyond
+    500 entries read up to 3.6e-15.  The rule reads the largest n of the
+    list, and a table built from the previous one carries that table's
+    rounding, so a table can differ in its last bits from green_direct at
+    the same n; the tests bound that difference.
+
+    Underflow rule: after every product the span is trimmed at both ends
+    past entries with |G| below _TINY, the smallest normal float64, so
+    no factor carries subnormal or underflowed tails.  Everything outside
+    a table's span is an exact +0.0; its ends are normal and entries
+    inside it keep full IEEE semantics.
+    """
+    n_max = n_values[-1]
+    _check_work(n_max, 1, stencil.support_width)
+    _check_budget(3 * (n_max * stencil.support_width + 1))
     width = stencil.support_width
     if width == 0:
         # A pure shift: G^n is a^n alone, and a loop of up to WORK_LIMIT
@@ -231,38 +452,48 @@ def _direct_tables(stencil: Stencil, n_values):
             yield GreenTable(n=n, min_offset=n * stencil.min_offset,
                              values=np.array([power]), method="direct")
         return
-    kernel = _kernel(stencil)
-    buf = np.zeros(n_values[-1] * width + 1, dtype=kernel.dtype)
-    buf[:width + 1] = kernel
-    lo, hi, done = 0, width + 1, 1
-    for n in n_values:
-        for _ in range(n - done):
-            if lo == hi:            # the whole table has underflowed
-                break
-            buf[lo:hi + width] = np.convolve(buf[lo:hi], kernel)
-            hi += width
-            while lo < hi and abs(buf[lo]) < _TINY:
-                buf[lo] = 0.0
-                lo += 1
-            while hi > lo and abs(buf[hi - 1]) < _TINY:
-                hi -= 1
-                buf[hi] = 0.0
-        done = n
+    # The exponent each n takes from the tower: n itself, or its distance
+    # from the previous n when that is the shorter (none for a repeated n),
+    # and the tower levels that a later n still needs.
+    previous = [0, *n_values[:-1]]
+    exponents = [n - m if n - m < m else n
+                 for m, n in zip(previous, n_values)]
+    keeps = list(itertools.accumulate(
+        [0, *(e.bit_length() for e in exponents[:0:-1])], max))[::-1]
+    tower, power = [(0, _kernel(stencil))], None
+    for n, e, keep, m in zip(n_values, exponents, keeps, previous):
+        if n > m:
+            if e == n:
+                power = None            # freed before the tower builds G^n
+            factor = _power_span(tower, e, n_max, keep)
+            power = (factor if power is None
+                     else _span_product(power, factor, 1))
+            del factor
+        start, span = power
+        with np.errstate(all="ignore"):
+            span = _narrow(span)
+        values = np.zeros(n * width + 1, dtype=complex)
+        values[start:start + len(span)] = span
+        if span is power[1]:
+            # A rounded power is read back from its table, not held twice.
+            view = values[start:start + len(span)]
+            power = start, view.real if span.dtype.kind == "f" else view
+        del span
         yield GreenTable(n=n, min_offset=n * stencil.min_offset,
-                         values=buf[:n * width + 1].astype(complex),
-                         method="direct")
+                         values=values, method="direct")
 
 
 def green_direct(stencil: Stencil, n: int) -> GreenTable:
-    """G^n by iterated convolution of the coefficient array.  Oracle route.
+    """G^n by binary powering of the coefficient array.  Oracle route.
 
-    Entries below the smallest normal float64 at either end of the table
-    are exact +0.0 (the underflow rule of _direct_tables); every other
-    entry is the IEEE result of the step loop.  Raises WorkBudgetError
-    when n^2 * support_width exceeds WORK_LIMIT and MemoryBudgetError when
-    three complex tables of n * support_width + 1 entries exceed the
-    memory budget.  The offsets are built here, after the loop has freed
-    its buffer.
+    G^n is the product of the squarings G^(2^k) for the set bits k of n,
+    short factors in extended precision (the precision rule of
+    _direct_tables).  Entries below the smallest normal float64 at either
+    end of the table are exact +0.0 (its underflow rule).  Raises
+    WorkBudgetError when n^2 * support_width exceeds WORK_LIMIT and
+    MemoryBudgetError when three complex tables of n * support_width + 1
+    entries exceed the memory budget.  The offsets are built here, after
+    the tower has been freed.
     """
     table = next(_direct_tables(stencil, [_step_count(n)]))
     table.offsets
@@ -608,19 +839,17 @@ def _evolve_entries(cells: int, n: int, width: int) -> int:
     The direct table of G^n three times, as _direct_tables models it, and
     three arrays of the output window of cells + n * width entries: the
     convolution, its complex128 copy and the float64 copies of the data and
-    the table (or the tail sums) that np.convolve makes.
+    the table that np.convolve makes.
     """
     return 3 * (n * width + 1) + 3 * (cells + n * width)
 
 
 def evolve(stencil: Stencil, u0: GridFunction, n: int) -> GridFunction:
-    """n applications of the stencil: u0 convolved with G^n plus its tails.
+    """n applications of the stencil: u0 convolved with G^n.
 
-    The window widens by n * support_width.  A right tail R adds R times the
-    cumulative sum of G^n and a left tail L adds L times the reversed one;
-    outside the window the tails become tail * (sum a_l)^n.  The arithmetic
-    is float64 when the stencil, the data and the tails are all real, so
-    evolve(s, delta, n) equals green_direct(s, n) bit for bit.
+    The window widens by n * support_width.  The arithmetic is float64
+    when the stencil and the data are both real, so evolve(s, delta, n)
+    equals green_direct(s, n) bit for bit.
 
     Raises WorkBudgetError when start + n * (start + n * width) exceeds
     WORK_LIMIT, start being the length of u0's window, and
@@ -634,28 +863,17 @@ def evolve(stencil: Stencil, u0: GridFunction, n: int) -> GridFunction:
     _check_budget(_evolve_entries(len(u0.values), n, stencil.support_width))
     g = green_direct(stencil, n).values
     u = u0.values
-    left, right = complex(u0.left_tail), complex(u0.right_tail)
-    if not (g.imag.any() or u.imag.any() or left.imag or right.imag):
-        g, u, left, right = g.real, u.real, left.real, right.real
-    out = np.convolve(u, g)
-    # out[p] sits at j = min_index + n * min_offset + p.  Sites right of the
-    # data add right * sum_{l < j - max_index} G_l, sites left of it
-    # left * sum_{l > j - min_index} G_l.
-    if right:
-        out[len(u):] += right * np.cumsum(g)[:-1]
-    if left:
-        out[:-len(u)] += left * np.cumsum(g[::-1])[::-1][1:]
-    total = stencil.coefficient_sum() ** n
+    if not (g.imag.any() or u.imag.any()):
+        g, u = g.real, u.real
     return GridFunction(min_index=u0.min_index + n * stencil.min_offset,
-                        values=out, left_tail=u0.left_tail * total,
-                        right_tail=u0.right_tail * total)
+                        values=np.convolve(u, g))
 
 
 def sample_step(dx: float, half_width: float, j_min: int, j_max: int) -> GridFunction:
     """Cell averages of the indicator of [-half_width, half_width].
 
     Cell j covers [j*dx, (j+1)*dx]; cells straddling an edge of the step get
-    the fractional overlap.  Zero tails.
+    the fractional overlap.
     """
     if dx <= 0:
         raise ValueError("dx must be positive")

@@ -4,7 +4,8 @@ Per-cell and per-pair restatements of what the library computes in
 vectorized form, paper checks that the package reports rather than
 exports (the symbol modulus identities, Corollary 1's one-sided sums, the
 oscillation side and the BV bound of evolved data), the spatial reflection
-of a stencil, exact rational power sums and a double-double direct route.
+of a stencil, exact rational power sums and two double-double direct
+routes: a step loop and binary powering.
 """
 
 import math
@@ -88,23 +89,19 @@ def oscillation_side(g, e):
 
 
 def total_variation(u: GridFunction) -> float:
-    """Total variation of the bi-infinite sequence, tail jumps included."""
+    """Total variation of the bi-infinite sequence, the jumps from and to
+    its zero values outside the window included."""
     vals = np.asarray(u.values)
     inner = float(np.sum(np.abs(np.diff(vals))))
-    left_jump = abs(vals[0] - u.left_tail)
-    right_jump = abs(u.right_tail - vals[-1])
-    return inner + float(left_jump) + float(right_jump)
+    return inner + float(abs(vals[0])) + float(abs(vals[-1]))
 
 
 def bv_apply_bound(stencil, u: GridFunction, n_values):
     """Sup over the n grid of the evolved sup norm, and the data's variation.
 
-    Requires a declared zero left tail (data vanishing at -infinity); the
-    ratio sup_linf / bv_norm is the empirical stability constant even though
-    powers of the operator are unbounded on l-infinity.
+    The ratio sup_linf / bv_norm is the empirical stability constant even
+    though powers of the operator are unbounded on l-infinity.
     """
-    if u.left_tail != 0:
-        raise ValueError("bv_apply_bound needs a declared zero left tail")
     n_values = _step_grid(n_values)
     bv_norm = total_variation(u)
     sup_linf = 0.0
@@ -112,9 +109,21 @@ def bv_apply_bound(stencil, u: GridFunction, n_values):
     for n in n_values:
         u = evolve(stencil, u, n - done)
         done = n
-        sup_linf = max(sup_linf, float(np.max(np.abs(u.values))),
-                       abs(u.left_tail), abs(u.right_tail))
+        sup_linf = max(sup_linf, float(np.max(np.abs(u.values))))
     return sup_linf, bv_norm
+
+
+def heaviside_sup(stencil, n):
+    """sup_j |(L^n H)_j| for the Heaviside data H_j = [j >= 0].
+
+    H is built as the cumulative sum of a delta on the n * width + 1 sites
+    from 0 on.  L^n reads no site beyond them for j <= n * max_offset, so
+    the evolved window agrees with L^n H up to there; further right L^n H
+    is constant at its value at n * max_offset, and left of the window 0.
+    """
+    sites = n * stencil.support_width + 1
+    data = GridFunction(0, np.cumsum(np.eye(1, sites)[0]))
+    return float(np.max(np.abs(evolve(stencil, data, n).values[:sites])))
 
 
 def power_sums(stencil, center, count):
@@ -152,24 +161,89 @@ def _two_prod(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def dd_green(stencil, n):
-    """G^n of a real stencil on its whole support, rounded to float64 from
-    a double-double table.
+def _dd_add_product(acc, shift, x, y):
+    """Add the double-double scalar x = (hi, lo) times the double-double
+    array y = (hi, lo) into acc = (hi, lo) from index `shift` on."""
+    acc_hi, acc_lo = acc
+    part = slice(shift, shift + len(y[0]))
+    p, e = _two_prod(x[0], y[0])
+    s, t = _two_sum(acc_hi[part], p)
+    t += acc_lo[part] + e + x[0] * y[1] + x[1] * y[0]
+    acc_hi[part] = s + t
+    acc_lo[part] = t - (acc_hi[part] - s)
+
+
+def dd_greens(stencil, n_values):
+    """Yield G^n on its whole support for each n of the sorted list
+    n_values, rounded to float64 (complex128 for a complex stencil) from a
+    double-double table.
 
     Direct convolution from the delta, each entry carried as an unevaluated
     sum hi + lo and renormalized after every term, so the table is accurate
-    to far below the rounding of one float64 entry.
+    to far below the rounding of one float64 entry.  A complex stencil
+    carries the real and the imaginary part, four real products a term.
     """
-    kernel = stencil.as_array().real.tolist()
-    hi, lo = np.array([1.0]), np.array([0.0])
-    for _ in range(n):
-        new_hi, new_lo = np.zeros((2, len(hi) + len(kernel) - 1))
-        for shift, a in enumerate(kernel):
-            part = slice(shift, shift + len(hi))
-            p, e = _two_prod(a, hi)
-            s, t = _two_sum(new_hi[part], p)
-            t += new_lo[part] + e + a * lo
-            new_hi[part] = s + t
-            new_lo[part] = t - (new_hi[part] - s)
-        hi, lo = new_hi, new_lo
-    return hi
+    kernel = stencil.as_array()
+    real = not kernel.imag.any()
+    re, im = np.array([[1.0], [0.0]]), np.zeros((2, 1))
+    done = 0
+    for n in n_values:
+        for _ in range(n - done):
+            size = re.shape[1] + len(kernel) - 1
+            new_re, new_im = np.zeros((2, 2, size))
+            for shift, a in enumerate(kernel):
+                _dd_add_product(new_re, shift, (a.real, 0.0), re)
+                if not real:
+                    _dd_add_product(new_re, shift, (-a.imag, 0.0), im)
+                    _dd_add_product(new_im, shift, (a.real, 0.0), im)
+                    _dd_add_product(new_im, shift, (a.imag, 0.0), re)
+            re, im = new_re, new_im
+        done = n
+        yield re[0].copy() if real else re[0] + 1j * im[0]
+
+
+def dd_green(stencil, n):
+    """G^n from dd_greens alone."""
+    return next(dd_greens(stencil, [n]))
+
+
+def _dd_trimmed_product(x, y):
+    """x * y of real double-double arrays (shape (2, m)) by shift and add
+    over the shorter one, without the entries at either end below 1e-40 of
+    its largest; also returns how many were dropped at the left end."""
+    if x.shape[1] > y.shape[1]:
+        x, y = y, x
+    out = np.zeros((2, x.shape[1] + y.shape[1] - 1))
+    for shift in range(x.shape[1]):
+        _dd_add_product(out, shift, x[:, shift], y)
+    magnitude = np.abs(out[0])
+    live = np.flatnonzero(magnitude >= 1e-40 * magnitude.max())
+    return out[:, live[0]:live[-1] + 1], int(live[0])
+
+
+def dd_power(stencil, n):
+    """G^n of a real stencil on its whole support, rounded to float64 from
+    double-double binary powering.
+
+    The squarings G^(2^k) and the products of those of the set bits of n
+    are all double-double, by shift and add.  Each product drops the
+    entries below 1e-40 of its largest at its ends.  At n = 1000 and 2000
+    it agrees with dd_green to 1e-40 of the peak, far under the rounding
+    of one float64 entry.
+    """
+    width = stencil.support_width
+    level = np.array([stencil.as_array().real, np.zeros(width + 1)])
+    level_start, power, start = 0, None, 0
+    for k in range(n.bit_length()):
+        if n >> k & 1:
+            if power is None:
+                power, start = level, level_start
+            else:
+                power, cut = _dd_trimmed_product(power, level)
+                start += level_start + cut
+        if k + 1 < n.bit_length():
+            level, cut = _dd_trimmed_product(level, level)
+            level_start = 2 * level_start + cut
+    table = np.zeros(n * width + 1)
+    table[start:start + power.shape[1]] = power[0]
+    return table

@@ -12,8 +12,8 @@ from dgreen.green import (GreenTable, GridFunction, WorkBudgetError,
                           _direct_tables, evolve, green_direct, green_spectral,
                           spectral_sweep)
 from dgreen.stencil import Stencil, beam_warming, expansion_coefficients, lax_wendroff
-from references import (bv_apply_bound, corollary1_sums, oscillation_side,
-                        reflect, total_variation)
+from references import (bv_apply_bound, corollary1_sums, heaviside_sup,
+                        oscillation_side, reflect, total_variation)
 
 LW34 = lax_wendroff(0.75)
 LW34_E = expansion_coefficients(LW34)
@@ -142,17 +142,17 @@ class TestOneSplit:
         assert side == oscillation_side(tables[-1], e)
 
 
-STEP = GridFunction(0, (1.0,), left_tail=0.0, right_tail=1.0)
+DELTA = GridFunction(0, (1.0,))
 
 # Every route and report that takes a step count, called with one count n.
 STEP_COUNT_READERS = {
     "green_direct": lambda n: green_direct(LW34, n),
     "green_spectral": lambda n: green_spectral(LW34, n),
     "spectral_sweep": lambda n: spectral_sweep(LW34, n),
-    "evolve": lambda n: evolve(LW34, STEP, n),
+    "evolve": lambda n: evolve(LW34, DELTA, n),
     "envelope_reports": lambda n: envelope_reports(LW34, (n,)),
     "bv_bounds": lambda n: bv_bounds(LW34, (n,)),
-    "bv_apply_bound": lambda n: bv_apply_bound(LW34, STEP, (n,)),
+    "bv_apply_bound": lambda n: bv_apply_bound(LW34, DELTA, (n,)),
     "growth_series": lambda n: growth_series(LW34, (n,)),
     "approx_G": lambda n: approx_G(LW34_PARAMS, n, np.arange(-5, 11)),
     "approx_H": lambda n: approx_H(LW34_PARAMS, n, np.arange(-5, 11)),
@@ -164,7 +164,7 @@ class TestStepCountGate:
     @pytest.mark.parametrize("n", [2.5, True, 0, -1, math.nan])
     def test_refused(self, name, n):
         if name == "evolve" and n == 0:
-            assert evolve(LW34, STEP, n) is STEP
+            assert evolve(LW34, DELTA, n) is DELTA
             return
         with pytest.raises(ValueError,
                            match="n_values must be positive integers"):
@@ -201,10 +201,9 @@ class TestStepGrid:
     @pytest.mark.parametrize("n_values", [(), (0, 100), (-5,), (2.5,),
                                           (True, 100), (10.9, 100)])
     def test_empty_or_nonpositive_refused(self, n_values):
-        step = GridFunction(0, (1.0,), left_tail=0.0, right_tail=1.0)
         for check in (lambda: envelope_reports(LW34, n_values),
                       lambda: bv_bounds(LW34, n_values),
-                      lambda: bv_apply_bound(LW34, step, n_values)):
+                      lambda: bv_apply_bound(LW34, DELTA, n_values)):
             with pytest.raises(ValueError,
                                match="n_values must be positive integers"):
                 check()
@@ -353,25 +352,19 @@ class TestBVApplyBound:
         assert sup <= 2.0
 
     def test_heaviside_matches_bv_bounds(self):
-        h = GridFunction(0, (1.0,), left_tail=0.0, right_tail=1.0)
-        sup, tv = bv_apply_bound(LW34, h, (200,))
-        assert tv == 1.0
         rep = bv_bounds(LW34, (200,))
-        assert sup == pytest.approx(rep.sup_cumsum_per_n[0], abs=1e-12)
-
-    def test_left_tail_rejected(self):
-        u = GridFunction(0, (1.0,), left_tail=0.5)
-        with pytest.raises(ValueError):
-            bv_apply_bound(LW34, u, (10,))
+        assert heaviside_sup(LW34, 200) == pytest.approx(
+            rep.sup_cumsum_per_n[0], abs=1e-12)
 
     def test_total_variation_includes_tail_jumps(self):
-        u = GridFunction(0, (0.25, 1.0, 0.5), left_tail=0.0, right_tail=2.0)
+        # The jumps from and to the zeros outside the window count.
+        u = GridFunction(0, (0.25, 1.0, 0.5))
         assert total_variation(u) == pytest.approx(
-            0.25 + 0.75 + 0.5 + 1.5, abs=1e-15)
+            0.25 + 0.75 + 0.5 + 0.5, abs=1e-15)
 
     def test_box_overshoot_bounded(self):
         # step data of unit height: overshoot stays below the variation
-        box = GridFunction(0, np.ones(120), left_tail=0.0, right_tail=0.0)
+        box = GridFunction(0, np.ones(120))
         sup, tv = bv_apply_bound(LW34, box, (300,))
         assert tv == 2.0
         assert 1.0 < sup < tv

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgreen import cli
+from dgreen import cli, green
 from dgreen.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
@@ -192,6 +192,26 @@ class TestExitCodes:
                    "--out", str(out)) == EXIT_MEMORY
         assert "work cap" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bounds", "bv"])
+    def test_long_n_list_within_work_cap(self, monkeypatch, capsys, command):
+        # A dense list takes one product per n besides the squarings, and
+        # one past the cap is refused before any work.
+        products = []
+        span_product = green._span_product
+
+        def spy(a, b, repeats):
+            products.append(repeats)
+            return span_product(a, b, repeats)
+
+        monkeypatch.setattr(green, "_span_product", spy)
+        args = (command, "--scheme", "lw", "--lambda", "0.75", "--n-list")
+        assert run(*args, ",".join(map(str, range(1, 1001)))) == EXIT_OK
+        assert len(products) <= 9 + 1000
+        products.clear()
+        assert run(*args, ",".join(map(str, range(1, 31624)))) == EXIT_MEMORY
+        assert "work cap" in capsys.readouterr().err
+        assert products == []
 
     def test_out_into_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "g.csv"
@@ -805,10 +825,8 @@ class TestReports:
 LW5_CUSTOM = ("--custom=-2:0.01171875:0,-1:-0.125:0,0:0.2109375:0,"
               "1:0.65625:0,2:0.24609375:0")       # LW(3/4) * LW(1/2)
 COMPLEX_CUSTOM = _COMPLEX[-1]
-# sha256 of the bounds and bv reports as the direct route wrote them when
-# every step convolved the whole support, subnormal tails included (numpy
-# 2.4.6, x86-64).  Trimming the underflowed tails must not move one byte.
-# Every JSON digest here was re-taken at schema_version 2, after a check
+# sha256 of the bounds and bv reports (numpy 2.4.6, x86-64).  Every JSON
+# digest here was re-taken at schema_version 2, after a check
 # that each report differed from its schema 1 bytes in the version line
 # alone, and a bounds report also in its added sum_per_n and
 # oscillation_side keys.  Six were re-taken when the spectral route began
@@ -817,46 +835,52 @@ COMPLEX_CUSTOM = _COMPLEX[-1]
 # BW 0.36, 1.8 (their direct-route fields unchanged, the spectral sups
 # within 3e-13 relative, the route gap no larger) and the growth reports
 # of BW 0.5 and the complex custom (l1 and ratios within 1e-15 relative,
-# every other field unchanged).
+# every other field unchanged).  Every digest of a report that reads the
+# direct route (bounds, bv, green --method direct and evolve, 32 in all)
+# was re-taken when that route became binary powering with extended short
+# levels: against the step loop's reports, the bounds fields moved by at
+# most 1.4e-13 relative and the bv sups by 2e-15, the table cells of at
+# least 1e-250 by 4.6e-13 and the evolved cells by 4.3e-14; the bv route
+# gaps fell from up to 2.2e-15 to at most 5.6e-16.
 REPORT_SHA256 = {
     "bounds --scheme lw --lambda 0.75":
-        "f2bfd11c41df02e6bcba3f2d69c46a98bad91cb44bbe53f408f4777d129edd30",
+        "960fc1ef75c88e3077e6e0851490a5d3ff871847840b53fbca2409ca6474d4b3",
     "bv --scheme lw --lambda 0.75 --n-list 100,1000,3000":
-        "5418c99fe1b8fdac64fd1257d93e6f45f35a1bd51a32e7a19a1a70e9997caab2",
+        "c30c502ff6e704e70b06289ea65d3913b8f34777281967ac76daef90674b7ce9",
     "bounds --scheme lw --lambda 0.3":
-        "675621f82752ad07e48ddcb8dfabd8c0126579c63029a10756d40ba82ab0497f",
+        "38d6145625f8d1bc3349abe1dc8739feda43b75667bcec55fc9272d83d4574a2",
     "bv --scheme lw --lambda 0.3 --n-list 100,1000,3000":
-        "3209f5a9eecfa026cd530609f77265ecb398e54cde40e14fb4433d71691b90f2",
+        "11d7edb6f0cb599e3f7e00b90972bca561087da705adf8a171069d852714bef6",
     "bounds --scheme lw --lambda 0.49":
-        "a20b70554276144ac5b9384f977985c8047edf6aac85d0ff9fabd6ee8e7cb67e",
+        "ae91b17c92f46eba9e4b82c693bcd29525fa26943067a427760bb90c67da6cfc",
     "bv --scheme lw --lambda 0.49 --n-list 100,1000,3000":
-        "0ecce3e9eed10aa30e2015d6130ab7770803f7301f030ab74eff60587991d9fd",
+        "a491e85e9796e1421fb98f9be834e1af1162921f19d4faa576246bc53feb917c",
     "bounds --scheme bw --lambda 0.5":
-        "79660b0d0ae479cb23265b949b074f31b4022feef2b8b289ee7400ff4fff8367",
+        "17d41b0e3e80a0c1a3ce2ac1d53b003082b33e49e1fa60ede61895e283ac110a",
     "bv --scheme bw --lambda 0.5 --n-list 100,1000,3000":
-        "a86900dc95e4c3cf38d71e9946306757c20d04188a3d9fc56df1985c2685369e",
+        "be60436045ee5fbf797f4b8bd1189382349b961693236191aeafe059128ceca4",
     "bounds --scheme bw --lambda 0.36":
-        "93efea06e2f74939f9615afa50d652be8a6e60e1736d2b6d92439c3942a15569",
+        "7fb8a9f9092d27d28cff9afcdab41e3ae7e96af3966eba7eb64c4df799b39282",
     "bv --scheme bw --lambda 0.36 --n-list 100,1000,3000":
-        "50cc3a89f421e312949d5a691ef588c9c27cc968db6569c8b054c64d92248de3",
+        "d1990f56358c0d3f3ad092e5127c83be487474d7018ebe5937612fbe3b557fa6",
     "bounds --scheme bw --lambda 1.5":
-        "862ca1a9d8b5874b01f98fc4342e0f8747e80b8736fc7e076a31b5bbe700d01b",
+        "1dc7c39c83161eff194502fa7df9e182ff90b8ce903a07f95383c5f13fab0f75",
     "bv --scheme bw --lambda 1.5 --n-list 100,1000,3000":
-        "74e19d36d3004226fd640e501a58ee6deb8bf333a1f7c00905544ffe961cf750",
+        "896c14a42643f69851682ea921ba725014f72da1b68b45c2f366241a90132a45",
     "bounds --scheme bw --lambda 1.8":
-        "9a49d6bf7866fb2e247288333ae38f7ff63e81e09837339b475a8163e7e1deea",
+        "145605b1b73feb1a24615c852814e44a5ff135660bdff9ba8247910cdc9d8cd8",
     "bv --scheme bw --lambda 1.8 --n-list 100,1000,3000":
-        "f24fec98caed5016c64adc58d629e9694f3acb65a24ed1bfe4d76103a6b12b89",
+        "c2a0dc1928df15749808732229d8b9ede0b104a368e97a128478e71aeec53661",
     f"bounds --scheme custom {LW5_CUSTOM}":
-        "3df8d2ca8c03406044c3f56a0c6602fe6f18cf5e878f136587b9e0ada2f6a8ce",
+        "94c34aacc45ae469e53837c6b839ce21eeec6180dcff7c4742450c847bb2030c",
     f"bv --scheme custom {LW5_CUSTOM} --n-list 100,1000,3000":
-        "17e975249e8a8e8e7648c0bcbb37a35ce042dd0e84017ffc8a1f4a19d8bc622e",
+        "6d496e6c548c71b301a9ef354c2aac2e92721ca8190173612348b41329294475",
     # Duplicate step counts: each one keeps its own row, in grid order
     # (numpy 2.4.6, x86-64).
     "bounds --scheme lw --lambda 0.75 --n-list 250,250,1000":
-        "0b64274814f8fd4116539fd2820c91b49b0e9dcbdfa5c27748df88a36ebeaf9b",
+        "09585861b9f799617a661d16a4586109219e3d4983e3f8432d5c3f13fba45ed0",
     "bv --scheme lw --lambda 0.75 --n-list 100,100,1000":
-        "cf78649e10029c3d8eed144c59759c6dd3ae3b39b3e6c261efda5d42163fae86",
+        "2d4609c800caff9c8debbdc593b155c279aa4fbdb3a9fad9f9f3b554139a6a25",
     # coeffs, green (both routes, CSV and JSON), evolve and growth as
     # written before each route read the stencil's coefficient data from
     # one place (numpy 2.4.6, x86-64).
@@ -869,11 +893,11 @@ REPORT_SHA256 = {
     "green --scheme lw --lambda 0.75 --n 500 --method spectral --format json":
         "bcc9c7f5a16a48b14b56aacc816d9c061d08fe60e455366d8d929ec6ab4116fa",
     "green --scheme lw --lambda 0.75 --n 500 --method direct":
-        "f3354a384c03a879ff7cf1b5e780382e563cee49436c644ea4abf526017239eb",
+        "edd90f7f02e162191bca2383aa9f14bb477f0efb3d3bfe44d5914ace91e7630a",
     "green --scheme lw --lambda 0.75 --n 500 --method direct --format json":
-        "5cf95ef10361099f76d0f974fba7d056dcb7bdba5ee2a2e4ee41f5ad471e31c6",
+        "b32963a65a9c23f421d84775a519e961883e17e4995a45759a3933779c703a29",
     "evolve --scheme lw --lambda 0.75 --dx 0.05 --t 1.0":
-        "5f8013704d9bf235259b42f15a96e04a0ef8d0b197df895aad37c16b9fd04105",
+        "a22cce074171feb0bf8ad6d7c36682a48440af7d64b27fa58a700d885c95ec14",
     "growth --scheme lw --lambda 0.75":
         "e0dccbcf24bd7a03f6c9976496cfaa4cca1babb5272c1918e3f3858d7b5f91ad",
     "coeffs --scheme bw --lambda 0.5":
@@ -885,11 +909,11 @@ REPORT_SHA256 = {
     "green --scheme bw --lambda 0.5 --n 500 --method spectral --format json":
         "27a40acdec86d124657ac35e71865f7f2362755e9e6d6e1a3c0d96a680a882bd",
     "green --scheme bw --lambda 0.5 --n 500 --method direct":
-        "935c5d3889eb38744a4efa09104ae6f3b6cdfe35a01534b1eac3d4577fdba0c9",
+        "2ebff4425193b75c6d33ac2a9d3d036028b4b043b3098ecabbd29c34220e3833",
     "green --scheme bw --lambda 0.5 --n 500 --method direct --format json":
-        "7fe825bc8766712b69d733b79e0eb8ed81fc0547089d1b910547e66b6dcd00e6",
+        "c27394be9123619f2bad92363a3499e126320c87823bac23785e77a4dfd7900e",
     "evolve --scheme bw --lambda 0.5 --dx 0.05 --t 1.0":
-        "8dfc292656a7aaf2de9c691504d05e388315bca7fb8f3909618270aaa4895b7a",
+        "fab425d7fb265d32cab2d5bb71865a9702aba23fa97a733a8044a5251bc23cc7",
     "growth --scheme bw --lambda 0.5":
         "b282ea8fceebf52267f03a75340dfe499a98bb07b676343ac4840d00807a8b38",
     "coeffs --scheme bw --lambda 1.5":
@@ -901,9 +925,9 @@ REPORT_SHA256 = {
     "green --scheme bw --lambda 1.5 --n 500 --method spectral --format json":
         "8028f2bab8e89edcf4c428a91f56c56d52e4965d21740682054670e59a2198b0",
     "green --scheme bw --lambda 1.5 --n 500 --method direct":
-        "302683b990d95b9b13772be66f5705f429fd86d5aff1ba251b183cba39d0c373",
+        "1b03e889c3de4371fe692321a6b7011265fbe8adc44bd00660f239db93ac6ba0",
     "green --scheme bw --lambda 1.5 --n 500 --method direct --format json":
-        "bed9017742f18c81129190eed5478cb59e4931a5aa4d54d1563b0debcdfabfb8",
+        "18b83da73a97433a128720fdc4d42fb78ecde8415348af52e8b1dcc1b5ad8735",
     "evolve --scheme bw --lambda 1.5 --dx 0.05 --t 1.0":
         "ef3f0283add51537342c92b8a57949cd818c43066b2b8ee302c90dfbad325c26",
     "growth --scheme bw --lambda 1.5":
@@ -918,12 +942,12 @@ REPORT_SHA256 = {
      " --format json"):
         "a81bd1da4f76710f041ddc74e1130108b4a2fe188c4e9e81d1bdc67a2dcbad51",
     f"green --scheme custom {LW5_CUSTOM} --n 500 --method direct":
-        "2ba4bb1837a32020606f0b1490fdd1342eff37cc35ee85cee0079a08bf0d8442",
+        "72400fff4cf765c1a4da7c2a4a7b69478cfed519e726767b30258ea8bcbaf852",
     (f"green --scheme custom {LW5_CUSTOM} --n 500 --method direct"
      " --format json"):
-        "0d9f9ab420e4ac1ea40ee34d2ac6da237d0f16dd179ac6d809af4ad97eba7041",
+        "d6a767d95f2c0d99e62648fff43e276c4cfa77ef6c6fbce3fc4fd25f6433e9c8",
     f"evolve --scheme custom {LW5_CUSTOM} --lambda 0.5 --dx 0.05 --t 1.0":
-        "9db617450f73b6072309b04ef2cf0525ed771b4f64c9ebcfbcc9c056c0ff3242",
+        "4bcdb92d4e993625de8b8cf29811f89f48e43e5de7f8c79643925500fc41f455",
     f"growth --scheme custom {LW5_CUSTOM}":
         "fe9e4eee9e651ada5313a51218575e536a9d44cd42ca1251da7545ad7dc07143",
     f"coeffs --scheme custom {COMPLEX_CUSTOM}":
@@ -936,12 +960,12 @@ REPORT_SHA256 = {
      " --format json"):
         "31e6d59c353408e17a19f9de7c455289f4c0846de1492d65835e16da27ae836d",
     f"green --scheme custom {COMPLEX_CUSTOM} --n 500 --method direct":
-        "ad5a535115f9682dc9f5cae180a776b0e4e8a5934b08b0cf7122010c40948605",
+        "438a1f58dfd18a663be5a8d70fe846ad7843db4484b7e583216fd066d826b42a",
     (f"green --scheme custom {COMPLEX_CUSTOM} --n 500 --method direct"
      " --format json"):
-        "f6783307d76ec2af0ab589fa36256ddaadd9f268a19d9c84ceeb03d5808d6090",
+        "c79f83ce3661ebd6b342d5eb2f442046dc82ec5850c9317aa52a652240e546c1",
     f"evolve --scheme custom {COMPLEX_CUSTOM} --lambda 0.5 --dx 0.05 --t 1.0":
-        "6bacdc95f4c23220d97fe581a511216e85c3686861a0f9d4b8d105f67633260d",
+        "a7ac7652f4b687cba6fb00d54ca9a8c4137d4f465f258fdfdf67156601b33f89",
     f"growth --scheme custom {COMPLEX_CUSTOM}":
         "e8b2b69cc80ef01d7edd9487c60e69e62ba255c96a79b923fc980212b99e9002",
     "evolve --scheme custom --custom=3:0.5:0,4:0.5:0 --lambda 0.5"
@@ -1076,7 +1100,8 @@ def test_public_names():
     assert len(dgreen.__all__) == 38
     assert all(hasattr(dgreen, name) for name in dgreen.__all__)
     # The library's optional parameters and dataclass fields, private ones
-    # included: each is set to different values by callers in the package.
+    # included: a caller inside the package, not a test alone, passes each
+    # of them a value other than its default.
     defaulted = set()
     for module in (dgreen.stencil, dgreen.green, dgreen.approx,
                    dgreen.analysis):
@@ -1090,9 +1115,7 @@ def test_public_names():
                         f"{fn.__qualname__}.{p.name}"
                         for p in inspect.signature(fn).parameters.values()
                         if p.default is not p.empty)
-    assert defaulted == {
-        "Stencil.__init__.label", "GridFunction.__init__.left_tail",
-        "GridFunction.__init__.right_tail", "_spectral_window.reserve"}
+    assert defaulted == {"Stencil.__init__.label", "_spectral_window.reserve"}
 
 
 def test_public_names_have_callers():
