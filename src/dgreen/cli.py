@@ -334,10 +334,12 @@ def cmd_coeffs(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
 
 def cmd_green(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
     # Before the route runs, which checks its own transforms: the table, the
-    # approx columns and the CSV or JSON text of its rows take up to about
-    # forty complex128 entries a row (the traced peak of a complex stencil,
-    # whose cells are all nonzero).
-    _check_budget(40 * (_step_count(cfg.n) * s.support_width + 1))
+    # approx columns and the CSV or JSON text of its rows, sixteen
+    # complex128 entries (256 B) a row, and 1 MB for the cells of one
+    # block of rows.  Traced from n = 5e3 to 4e5, either route and format:
+    # at most 203 B a row for a complex stencil, whose cells are all
+    # nonzero, and 188 B for real ones; from n = 5e4 on, 200 and 113 B.
+    _check_budget(16 * (_step_count(cfg.n) * s.support_width + 1) + 65536)
     if cfg.method == "direct":
         table = green_direct(s, cfg.n)
     else:
@@ -381,7 +383,7 @@ def cmd_evolve(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
     # arrays, and the CSV of the output window, whose columns and text
     # take about twelve complex128 entries a row.
     cells = 2 * j_half + 3
-    _check_budget(cells + _evolve_entries(cells, n, s.support_width)
+    _check_budget(cells + _evolve_entries(cells, n, s)
                   + 12 * (cells + n * s.support_width))
     u0 = sample_step(cfg.dx, cfg.half_width, -j_half - 1, j_half + 1)
     un = evolve(s, u0, n)

@@ -17,13 +17,14 @@ into it; other stencils get the alias-free grid of n * support_width + 1
 points.  Either way the result is exact up to rounding.  Every transform
 length is the smallest 16 * 2^a * 3^b * 5^c at or above the points needed:
 from 500 points on at most 1.13 times them, where the next power of two
-may be twice.
+may be twice.  Tables, grid functions and sweep sums are float64 when
+the stencil's coefficients are real (and, for evolve, the data too), and
+complex128 otherwise.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import os
@@ -62,7 +63,7 @@ DEFAULT_MEMORY_BUDGET_MB = 512.0
 # 32 ms for Beam-Warming 0.36, 36 ms for Lax-Wendroff 0.3 and 0.21 s for
 # a complex 3-point stencil (minimum of 3 runs), and every n from 1 to
 # the cap takes 6.8 s for Lax-Wendroff 3/4 and 9.5 s for the complex
-# stencil, against 4.5 s and 7.3 s for the step loop (2-CPU x86 box).
+# stencil (2-CPU x86 box).
 WORK_LIMIT = 2e9
 
 # Window sizing of the spectral route.  The wake of G^n is damped like
@@ -95,7 +96,8 @@ class WorkBudgetError(RuntimeError):
 class GreenTable:
     """Values of G^n_j on a window of [n*min_offset_1, n*max_offset_1].
 
-    min_offset is the index of values[0].  Tables from green_direct and
+    min_offset is the index of values[0]; values are float64 for a real
+    stencil, complex128 otherwise.  Tables from green_direct and
     green_spectral cover the whole support and come with their offsets
     built.  method records which route built the table ("direct" or
     "spectral").  Non-finite values, which come from powers of the stencil
@@ -129,14 +131,17 @@ class GreenTable:
 class GridFunction:
     """A doubly infinite grid sequence stored on a finite window.
 
-    Outside the stored window the sequence is zero.
+    Outside the stored window the sequence is zero.  Complex values are
+    stored as complex128, others as float64; empty, non-1-d and
+    non-numeric values raise ValueError.
     """
 
     min_index: int
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.asarray(self.values, dtype=complex if np.iscomplexobj(
+            self.values) else float)
         if vals.ndim != 1 or len(vals) == 0:
             raise ValueError("values must be a nonempty 1-d array")
         object.__setattr__(self, "values", vals)
@@ -191,7 +196,8 @@ def _kernel(stencil: Stencil) -> np.ndarray:
 
 
 def _shift_powers(stencil: Stencil, n_values) -> np.ndarray:
-    """a^n of a pure shift a for each n of the array n_values, as complex128.
+    """a^n of a pure shift a for each n of the array n_values, in the
+    kernel's dtype.
 
     Every route takes a pure shift's powers from here, one np.power over the
     exponents in place in an array of the kernel's dtype, so the routes
@@ -202,7 +208,7 @@ def _shift_powers(stencil: Stencil, n_values) -> np.ndarray:
     """
     powers = np.full(len(n_values), _kernel(stencil)[0])
     with np.errstate(all="ignore"):
-        return np.power(powers, n_values, out=powers).astype(complex)
+        return np.power(powers, n_values, out=powers)
 
 
 class _LongDouble:
@@ -312,6 +318,28 @@ _WIDE_REPEATS = 4
 _DD_REPEATS = 1024
 _BLOCK = 1024
 
+# The direct route's peak for tables up to G^n, with the caller holding
+# the last one: _DIRECT_TABLES tables of n * width + 1 entries in the
+# stencil's dtype, plus _DIRECT_SCRATCH complex128 entries (64 KB) for the
+# extended short products and their blocks.  Traced with Lax-Wendroff
+# 3/4 and 0.3, Beam-Warming 3/2, two 5-point stencils and a complex
+# 3-point one on [1000, 1001], [4000, 4112], [4112, 4112],
+# [100, 1000, 3000], [250, 500, 1000, 2000], every n up to 2000 and, for
+# width 2, [20000, 31622]: at most 6.14 tables (the complex stencil on
+# [1000, 1001]; Beam-Warming 3/2 6.04), 2.3 at [20000, 31622].  Below
+# n = 1000 the short products stay extended, and at most 40 KB above
+# seven tables was traced.
+_DIRECT_TABLES = 7
+_DIRECT_SCRATCH = 4096
+
+
+def _direct_entries(stencil: Stencil, n: int) -> float:
+    """Complex128 entries the direct route holds at its peak for tables
+    up to G^n: a real stencil's tables are float64, half an entry a row."""
+    rows = n * stencil.support_width + 1
+    return (_DIRECT_TABLES * rows / (2 if stencil.is_real else 1)
+            + _DIRECT_SCRATCH)
+
 
 def _trim(start: int, values, lead):
     """The span (start, values) without the entries at either end whose
@@ -375,24 +403,20 @@ def _span_product(a, b, repeats: int):
     return start, out
 
 
-def _power_span(tower: list, e: int, n_max: int, keep: int):
+def _power_span(tower: list, e: int, n_max: int):
     """The span of G^e: the product of the tower levels G^(2^k) for the set
     bits k of e, the shortest first.
 
     The tower grows by squaring its top level until it reaches e, in the
-    precision of a level that recurs n_max / 2^k times.  Levels from `keep`
-    on are dropped once they have been used: no later exponent needs them.
+    precision of a level that recurs n_max / 2^k times.
     """
     power = None
     for k in range(e.bit_length()):
         if k == len(tower):
             tower.append(_span_product(tower[-1], tower[-1], n_max >> k))
-        if k > keep:
-            tower[k - 1] = None
         if e >> k & 1:
             power = (tower[k] if power is None
                      else _span_product(power, tower[k], 1))
-    del tower[keep:]
     return power
 
 
@@ -405,17 +429,15 @@ def _direct_tables(stencil: Stencil, n_values):
     products, or, when the previous n of the list, m, is more than half
     of n, of G^m and the levels of the set bits of n - m.  So a list that
     doubles builds each n from the tower, a dense one takes one short
-    product per n, as a step loop would, and the tower keeps only the
+    product per n, as a step loop would, and the tower grows only to the
     levels of such short gaps.  A list costs at most floor(log2(max n))
     squarings and a product per set bit of each n, and every product
-    reads spans no longer than the largest table.  Each table is cast to
-    complex128 once.
-    WorkBudgetError for the largest n is raised before anything is
-    allocated, and so is MemoryBudgetError for its table held three times
-    in complex128: the caller's last table, the tower with the factors of
-    the last product, and that product or the table being handed out.
-    Tower levels are dropped once no later n needs them, and the next
-    table reads the values of the last one, which must not be written to.
+    reads spans no longer than the largest table.  Each table is a new
+    array in the stencil's dtype, float64 or complex128, which the caller
+    may write to.  WorkBudgetError for the largest n is raised before
+    anything is allocated, and so is MemoryBudgetError for _direct_entries,
+    which bounds the tower, the running power, the product being built and
+    the table yielded, with the caller's last table.
 
     Precision rule: a level of s steps enters G^n about n / s times, and
     its rounding error with it, so the levels that recur often are kept
@@ -442,7 +464,7 @@ def _direct_tables(stencil: Stencil, n_values):
     """
     n_max = n_values[-1]
     _check_work(n_max, 1, stencil.support_width)
-    _check_budget(3 * (n_max * stencil.support_width + 1))
+    _check_budget(_direct_entries(stencil, n_max))
     width = stencil.support_width
     if width == 0:
         # A pure shift: G^n is a^n alone, and a loop of up to WORK_LIMIT
@@ -452,33 +474,20 @@ def _direct_tables(stencil: Stencil, n_values):
             yield GreenTable(n=n, min_offset=n * stencil.min_offset,
                              values=np.array([power]), method="direct")
         return
-    # The exponent each n takes from the tower: n itself, or its distance
-    # from the previous n when that is the shorter (none for a repeated n),
-    # and the tower levels that a later n still needs.
-    previous = [0, *n_values[:-1]]
-    exponents = [n - m if n - m < m else n
-                 for m, n in zip(previous, n_values)]
-    keeps = list(itertools.accumulate(
-        [0, *(e.bit_length() for e in exponents[:0:-1])], max))[::-1]
-    tower, power = [(0, _kernel(stencil))], None
-    for n, e, keep, m in zip(n_values, exponents, keeps, previous):
-        if n > m:
-            if e == n:
-                power = None            # freed before the tower builds G^n
-            factor = _power_span(tower, e, n_max, keep)
-            power = (factor if power is None
-                     else _span_product(power, factor, 1))
-            del factor
+    kernel = _kernel(stencil)
+    tower, power, m = [(0, kernel)], None, 0
+    for n in n_values:
+        # G^n from G^m, the previous n, when n - m is the shorter exponent;
+        # else from the tower alone.  A repeated n reuses its power.
+        if 0 < n - m < m:
+            power = _span_product(power, _power_span(tower, n - m, n_max), 1)
+        elif n > m:
+            power = _power_span(tower, n, n_max)
+        m = n
         start, span = power
+        values = np.zeros(n * width + 1, dtype=kernel.dtype)
         with np.errstate(all="ignore"):
-            span = _narrow(span)
-        values = np.zeros(n * width + 1, dtype=complex)
-        values[start:start + len(span)] = span
-        if span is power[1]:
-            # A rounded power is read back from its table, not held twice.
-            view = values[start:start + len(span)]
-            power = start, view.real if span.dtype.kind == "f" else view
-        del span
+            values[start:start + span.shape[-1]] = _narrow(span)
         yield GreenTable(n=n, min_offset=n * stencil.min_offset,
                          values=values, method="direct")
 
@@ -491,9 +500,9 @@ def green_direct(stencil: Stencil, n: int) -> GreenTable:
     _direct_tables).  Entries below the smallest normal float64 at either
     end of the table are exact +0.0 (its underflow rule).  Raises
     WorkBudgetError when n^2 * support_width exceeds WORK_LIMIT and
-    MemoryBudgetError when three complex tables of n * support_width + 1
-    entries exceed the memory budget.  The offsets are built here, after
-    the tower has been freed.
+    MemoryBudgetError when _direct_entries exceeds the memory budget.  The
+    table is float64 for a real stencil, complex128 otherwise.  The
+    offsets are built here, after the tower has been freed.
     """
     table = next(_direct_tables(stencil, [_step_count(n)]))
     table.offsets
@@ -720,16 +729,17 @@ def green_spectral(stencil: Stencil, n: int) -> GreenTable:
     """G^n on its whole support by the windowed spectral route.
 
     Entries outside the window that holds the mass of G^n are exact zeros;
-    for real stencils every imaginary part is exactly 0.  Raises
+    the table is float64 for real stencils.  Raises
     MemoryBudgetError when the transforms plus the full-support table would
     exceed the budget (the DG_MEMORY_BUDGET_MB environment variable, else
-    512 MB): 25 B a row, 16 for the table, 8 for its offsets, which are
-    built here, and 1 for the finiteness mask of GreenTable.
+    512 MB): 25 B a row, 16 for a complex table (8 for a real one), 8 for
+    its offsets, which are built here, and 1 for the finiteness mask of
+    GreenTable.
     """
     n = _step_count(n)
     support = n * stencil.support_width + 1
     window, _ = _spectral_window(stencil, n, 25 * support / 16)
-    values = np.zeros(support, dtype=complex)
+    values = np.zeros(support, dtype=window.values.dtype)
     start = window.min_offset - n * stencil.min_offset
     values[start:start + len(window.values)] = window.values
     table = GreenTable(n=n, min_offset=n * stencil.min_offset, values=values,
@@ -761,7 +771,7 @@ def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float):
     # Samples F(-2 pi k / size), so the inverse transform puts G_j at j.
     symbol = symbol_eval(stencil, (-2.0 * math.pi / size) * np.arange(samples))
     table = np.cumprod(np.broadcast_to(symbol, (block, samples)), axis=0)
-    sums = np.empty(n_max, dtype=complex)
+    sums = np.empty(n_max, dtype=float if half else complex)
     l1 = np.empty(n_max)
     l2 = np.empty(n_max)
     linf = np.empty(n_max)
@@ -833,23 +843,25 @@ def spectral_sweep(stencil: Stencil, n_max: int):
     return result
 
 
-def _evolve_entries(cells: int, n: int, width: int) -> int:
+def _evolve_entries(cells: int, n: int, stencil: Stencil) -> float:
     """Complex128 entries evolve holds at its peak on data of `cells` cells.
 
-    The direct table of G^n three times, as _direct_tables models it, and
-    three arrays of the output window of cells + n * width entries: the
-    convolution, its complex128 copy and the float64 copies of the data and
-    the table that np.convolve makes.
+    The direct route's peak for G^n (_direct_entries) and two complex128
+    arrays of the output window of cells + n * width entries: the
+    convolution and the copy that np.convolve makes of the data or the
+    table when one is real and the other complex.
     """
-    return 3 * (n * width + 1) + 3 * (cells + n * width)
+    return (_direct_entries(stencil, n)
+            + 2 * (cells + n * stencil.support_width))
 
 
 def evolve(stencil: Stencil, u0: GridFunction, n: int) -> GridFunction:
     """n applications of the stencil: u0 convolved with G^n.
 
-    The window widens by n * support_width.  The arithmetic is float64
-    when the stencil and the data are both real, so evolve(s, delta, n)
-    equals green_direct(s, n) bit for bit.
+    The window widens by n * support_width.  The data is convolved with
+    the table as they are: float64 when the stencil and the data are both
+    real, complex128 otherwise, so evolve(s, delta, n) equals
+    green_direct(s, n) bit for bit.
 
     Raises WorkBudgetError when start + n * (start + n * width) exceeds
     WORK_LIMIT, start being the length of u0's window, and
@@ -860,13 +872,10 @@ def evolve(stencil: Stencil, u0: GridFunction, n: int) -> GridFunction:
         return u0
     n = _step_count(n)
     _check_work(n, len(u0.values), stencil.support_width)
-    _check_budget(_evolve_entries(len(u0.values), n, stencil.support_width))
+    _check_budget(_evolve_entries(len(u0.values), n, stencil))
     g = green_direct(stencil, n).values
-    u = u0.values
-    if not (g.imag.any() or u.imag.any()):
-        g, u = g.real, u.real
     return GridFunction(min_index=u0.min_index + n * stencil.min_offset,
-                        values=np.convolve(u, g))
+                        values=np.convolve(u0.values, g))
 
 
 def sample_step(dx: float, half_width: float, j_min: int, j_max: int) -> GridFunction:

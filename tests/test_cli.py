@@ -455,7 +455,7 @@ class TestGreen:
             "", "error: step counts above 2**53 are not exact in float64\n")
 
     def test_budget_checked_before_route(self, tmp_path, monkeypatch, capsys):
-        # 4e5 rows of about forty complex128 entries each: 256 MB.
+        # 4e5 rows of sixteen complex128 entries each and 1 MB: 103 MB.
         monkeypatch.setenv("DG_MEMORY_BUDGET_MB", "64")
         out = tmp_path / "g.csv"
         with mock.patch.object(cli, "green_spectral",
@@ -463,19 +463,19 @@ class TestGreen:
             assert run("green", "--lambda", "0.75", "--n", "200000",
                        "--out", str(out)) == EXIT_MEMORY
         assert capsys.readouterr().err == (
-            "error: the computation needs about 256 MB, budget is 64 MB\n")
+            "error: the computation needs about 103 MB, budget is 64 MB\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_refusal_reads_above_budget(self, monkeypatch, capsys):
-        # 40 * 800001 entries of 16 bytes: 512.00064 MB, which three
-        # digits would print as the 512 MB budget.
+        # 16 * 1995905 + 65536 entries of 16 bytes: 512.000256 MB, which
+        # three digits would print as the 512 MB budget.
         monkeypatch.delenv("DG_MEMORY_BUDGET_MB", raising=False)
         with mock.patch.object(cli, "green_spectral",
                                side_effect=AssertionError):
             assert run("green", "--lambda", "0.75",
-                       "--n", "400000") == EXIT_MEMORY
+                       "--n", "997952") == EXIT_MEMORY
         assert capsys.readouterr() == ("", "error: the computation needs "
-                                       "about 512.001 MB, budget is 512 MB\n")
+                                       "about 512.0003 MB, budget is 512 MB\n")
 
     def test_csv_traced_peak_per_row(self, tmp_path):
         # A complex stencil's cells are all nonzero.  Formatting all rows
@@ -739,7 +739,7 @@ class TestEvolve:
 
     def test_budget_checked_before_step_data(self, tmp_path, monkeypatch,
                                              capsys):
-        # 2e5 cells of step data: about 51 MB with evolve's arrays and CSV.
+        # 2e5 cells of step data: about 48 MB with evolve's arrays and CSV.
         monkeypatch.setenv("DG_MEMORY_BUDGET_MB", "1")
         out = tmp_path / "ev.csv"
         with mock.patch.object(cli, "sample_step", side_effect=AssertionError):
@@ -747,7 +747,7 @@ class TestEvolve:
                        "--t", "1e-5", "--half-width", "1",
                        "--out", str(out)) == EXIT_MEMORY
         assert capsys.readouterr().err == (
-            "error: the computation needs about 51.2 MB, budget is 1 MB\n")
+            "error: the computation needs about 48.1 MB, budget is 1 MB\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args", [

@@ -62,11 +62,17 @@ class TestGridFunction:
         u = GridFunction(2, (1.0, 2.0))
         assert (u.min_index, u.max_index) == (2, 3)
         assert u.values.tolist() == [1.0, 2.0]
-        assert u.values.dtype == complex
+        assert u.values.dtype == float
+        assert GridFunction(0, (1, 2j)).values.dtype == complex
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             GridFunction(0, ())
+
+    @pytest.mark.parametrize("values", [np.ones((2, 2)), ("a", "b")])
+    def test_non_numeric_or_2d_rejected(self, values):
+        with pytest.raises(ValueError):
+            GridFunction(0, values)
 
 
 class TestApply:
@@ -163,14 +169,15 @@ class TestGreenTables:
             green_spectral(lax_wendroff(0.75), 10000)
 
     def test_direct_budget_checked_before_work(self, monkeypatch):
-        # Three complex tables of 2n + 1 entries: 0.096 MB at n = 1000.
+        # Seven float64 tables of 2n + 1 entries and 64 KB of scratch:
+        # 0.1776 MB at n = 1000.
         s = lax_wendroff(0.75)
-        monkeypatch.setenv(MEMORY_BUDGET_ENV, "0.095")
-        with pytest.raises(MemoryBudgetError):
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "0.177")
+        with pytest.raises(MemoryBudgetError, match="needs about 0.178 MB"):
             green_direct(s, 1000)
         with pytest.raises(MemoryBudgetError):
             evolve(s, delta(), 1000)
-        monkeypatch.setenv(MEMORY_BUDGET_ENV, "0.097")
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "0.178")
         green_direct(s, 1000)
         monkeypatch.setenv(MEMORY_BUDGET_ENV, "nan")
         with pytest.raises(ValueError, match=MEMORY_BUDGET_ENV):
@@ -178,20 +185,28 @@ class TestGreenTables:
 
     @pytest.mark.parametrize("stencil", [
         lax_wendroff(0.75), beam_warming(1.5), COMPLEX,
-        Stencil(-2, (0.05, 0.2, 0.5, 0.2, 0.05))])
+        Stencil(-2, (0.05, 0.2, 0.5, 0.2, 0.05)), lax_wendroff(0.3)])
     def test_direct_traced_peak_within_model(self, stencil):
-        n_values = [1000, 2000]
-        modelled = 16 * 3 * (n_values[-1] * stencil.support_width + 1)
-        for tables in (lambda: green_direct(stencil, n_values[-1]),
-                       lambda: [g.n for g in green._direct_tables(stencil,
-                                                                  n_values)]):
-            tracemalloc.start()
-            try:
-                tables()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= modelled
+        # Lists that users pass, each table held while the next is built.
+        # Measured: at most 6.14 tables of the stencil's dtype (COMPLEX on
+        # [1000, 1001]) against the seven of _direct_entries.
+        grids = [[1000, 1001], [1000, 2000], [4000, 4112], [4112, 4112],
+                 [100, 1000, 3000], [250, 500, 1000, 2000],
+                 list(range(1, 2001))]
+        if stencil.support_width == 2:
+            grids.append([20000, 31622])        # the work cap
+        for n_values in grids:
+            modelled = 16 * green._direct_entries(stencil, n_values[-1])
+            for tables in (lambda: green_direct(stencil, n_values[-1]),
+                           lambda: [g.n for g in green._direct_tables(
+                               stencil, n_values)]):
+                tracemalloc.start()
+                try:
+                    tables()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= modelled, n_values
 
     @pytest.mark.parametrize("stencil,n", [
         *((s, n) for s in (lax_wendroff(0.75), lax_wendroff(0.3),
@@ -238,12 +253,13 @@ class TestGreenTables:
 
 class TestEvolveBudget:
     def test_checked_before_work(self, monkeypatch):
-        # 3 tables of 5 entries and 3 windows of 100004: 4.8 MB.
+        # The direct charge of 5-entry tables (seven float64 tables and
+        # 64 KB) and two complex128 windows of 100004: 3.27 MB.
         u = GridFunction(0, np.ones(100000))
-        monkeypatch.setenv(MEMORY_BUDGET_ENV, "4.7")
-        with pytest.raises(MemoryBudgetError, match="needs about 4.8 MB"):
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "3.2")
+        with pytest.raises(MemoryBudgetError, match="needs about 3.27 MB"):
             evolve(lax_wendroff(0.75), u, 2)
-        monkeypatch.setenv(MEMORY_BUDGET_ENV, "4.9")
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, "3.3")
         evolve(lax_wendroff(0.75), u, 2)
 
     @pytest.mark.parametrize("stencil", [
@@ -262,7 +278,7 @@ class TestEvolveBudget:
         if kind == "complex":
             values = values + 1j * rng.normal(size=cells)
         u = GridFunction(-3, values)
-        modelled = 16 * green._evolve_entries(cells, n, stencil.support_width)
+        modelled = 16 * green._evolve_entries(cells, n, stencil)
         tracemalloc.start()
         try:
             evolve(stencil, u, n)
@@ -307,8 +323,14 @@ class TestEvolveEquivalence:
         for g in tables:
             ref = green_direct(stencil, g.n)
             assert g.min_offset == ref.min_offset
-            assert g.values.dtype == ref.values.dtype == complex
+            assert g.values.dtype == ref.values.dtype == stencil_dtype(stencil)
             assert np.array_equal(g.values, ref.values)
+
+
+def stencil_dtype(stencil):
+    """The dtype of every table and norm of the stencil: float64 for real
+    coefficients, else complex128."""
+    return np.dtype(float if stencil.is_real else complex)
 
 
 def ieee_direct_tables(stencil, n_values):
@@ -329,7 +351,7 @@ def ieee_direct_tables(stencil, n_values):
                 values = np.convolve(values, kernel)
             done = n
         yield GreenTable(n=n, min_offset=n * stencil.min_offset,
-                         values=values.astype(complex), method="direct")
+                         values=values, method="direct")
 
 
 TINY = np.finfo(float).tiny
@@ -370,11 +392,11 @@ def assert_near_exact(values, exact, loop):
     assert rel_error(values) <= rel_error(loop)
 
 
-def assert_underflow_rule(g, ref, exact):
+def assert_underflow_rule(stencil, g, ref, exact):
     """g obeys the underflow rule and is as close to the double-double
     table `exact` as the step loop's table over the whole support, ref."""
     assert g.n == ref.n and g.min_offset == ref.min_offset
-    assert g.values.dtype == ref.values.dtype == complex
+    assert g.values.dtype == ref.values.dtype == stencil_dtype(stencil)
     assert len(g.values) == len(ref.values) == len(exact)
     parts = np.concatenate([g.values.real, g.values.imag])
     assert not np.any(np.signbit(parts) & (parts == 0))      # no -0.0
@@ -388,7 +410,7 @@ def exact_direct_tables(stencil, n_values):
     """_direct_tables of a real stencil from dd_greens."""
     for n, values in zip(n_values, dd_greens(stencil, n_values)):
         yield GreenTable(n=n, min_offset=n * stencil.min_offset,
-                         values=values.astype(complex), method="direct")
+                         values=values, method="direct")
 
 
 class TestUnderflowRule:
@@ -402,9 +424,9 @@ class TestUnderflowRule:
         tables = list(green._direct_tables(stencil, UNDERFLOW_N))
         assert [g.n for g in tables] == UNDERFLOW_N
         for g in tables:
-            assert_underflow_rule(g, refs[g.n], exact[g.n])
-        assert_underflow_rule(green_direct(stencil, 3000), refs[3000],
-                              exact[3000])
+            assert_underflow_rule(stencil, g, refs[g.n], exact[g.n])
+        assert_underflow_rule(stencil, green_direct(stencil, 3000),
+                              refs[3000], exact[3000])
 
     @pytest.mark.parametrize("stencil", [lax_wendroff(0.3), beam_warming(0.36),
                                          COMPLEX])
@@ -427,7 +449,7 @@ class TestUnderflowRule:
             if g.n == 100:
                 assert_near_exact(g.values, dd_green(s, 100), ref.values)
             else:
-                assert g.values.tobytes() == bytes(16 * len(g.values))
+                assert g.values.tobytes() == bytes(g.values.nbytes)
 
     @pytest.mark.parametrize("argv", [
         ("green", "--scheme", "bw", "--lambda", "0.36", "--n", "2500",
@@ -766,6 +788,16 @@ class TestBinaryPowering:
         products = sum(bin(n).count("1") - 1 for n in n_values)
         assert 0 < len(shapes) <= squarings + products
 
+    @pytest.mark.parametrize("stencil", [lax_wendroff(0.75), COMPLEX])
+    @pytest.mark.parametrize("n_values", [[1000, 1001], list(range(1, 65))])
+    def test_yielded_tables_can_be_written(self, stencil, n_values):
+        # Each table is its own array: zeroing one leaves the next intact.
+        clean = [g.values.copy()
+                 for g in green._direct_tables(stencil, n_values)]
+        for g, want in zip(green._direct_tables(stencil, n_values), clean):
+            assert g.values.tobytes() == want.tobytes()
+            g.values[:] = 0
+
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
                         reason="numpy's long double is not the x87 format "
                                "here")
@@ -969,6 +1001,8 @@ class TestCoefficientData:
         # sha256 of the spectral tables at n = 1, 50, 400 and of the sweep
         # to 400, recorded when the spectral route still carried the zero
         # coefficients through its lag loop (numpy 2.4.6, x86-64).
+        # The tables and the sums were complex128 then, so they are hashed
+        # as complex128.
         def digest(arrays):
             h = hashlib.sha256()
             for a in arrays:
@@ -976,8 +1010,10 @@ class TestCoefficientData:
             return h.hexdigest()
 
         n_values = (1, 50, 400)
-        assert (digest(green_spectral(stencil, n).values for n in n_values),
-                digest(spectral_sweep(stencil, 400))) == digests
+        sums, *norms = spectral_sweep(stencil, 400)
+        assert (digest(green_spectral(stencil, n).values.astype(complex)
+                       for n in n_values),
+                digest([sums.astype(complex), *norms])) == digests
         # The direct tables: as close to the double-double ones as the step
         # loop's, and exactly zero where they are.
         for n, exact, loop in zip(n_values, dd_greens(stencil, n_values),
@@ -985,6 +1021,24 @@ class TestCoefficientData:
             values = green_direct(stencil, n).values
             assert_near_exact(values, exact, loop.values)
             assert np.array_equal(values == 0, exact == 0)
+
+
+class TestDtypeRule:
+    @pytest.mark.parametrize("stencil", [
+        lax_wendroff(0.75), COMPLEX, Stencil(2, (-0.5,)),
+        Stencil(-1, (0.5 + 0.5j,))])
+    def test_every_route_takes_the_stencil_dtype(self, stencil):
+        dtype = stencil_dtype(stencil)
+        tables = [green_direct(stencil, 50), green_spectral(stencil, 50),
+                  _spectral_window(stencil, 50)[0],
+                  *green._direct_tables(stencil, [1, 7, 7, 50])]
+        assert [g.values.dtype for g in tables] == [dtype] * len(tables)
+        sums, *norms = spectral_sweep(stencil, 50)
+        assert sums.dtype == dtype
+        assert [a.dtype for a in norms] == [np.dtype(float)] * 3
+        assert evolve(stencil, delta(), 50).values.dtype == dtype
+        data = GridFunction(0, (1.0, 0.5j))
+        assert evolve(stencil, data, 50).values.dtype == complex
 
 
 def alias_free_sweep(stencil, n_max):
@@ -1220,7 +1274,7 @@ class TestStepData:
         cells = [cell_average_indicator(j * dx, (j + 1) * dx, half_width)
                  for j in range(j_min, j_max + 1)]
         assert u.min_index == j_min
-        assert u.values.tobytes() == np.asarray(cells, dtype=complex).tobytes()
+        assert u.values.tobytes() == np.asarray(cells, dtype=float).tobytes()
 
     def test_sample_step_empty_cell(self):
         # Cells 2 and 3 run from inf to inf, as cell_average_indicator
