@@ -232,10 +232,8 @@ def growth_series(stencil: Stencil, n_values) -> GrowthReport:
             "growth constant undefined: c3 or c4 at rounding floor "
             f"(c3 = {e.c3:.3e}, c4 = {e.c4:.3e})")
     ell = growth_constant(abs(e.c3), e.c4)
-    l1 = []
-    for n in n_values:
-        g, _ = _spectral_window(stencil, n)
-        l1.append(float(np.sum(np.abs(g.values))))
+    windows = (_spectral_window(stencil, n)[0] for n in n_values)
+    l1 = [float(np.sum(np.abs(g.values))) for g in windows]
     ratios = [v / n ** 0.125 for n, v in zip(n_values, l1)]
     errors = [abs(r - ell) for r in ratios]
     decreasing = all(b <= a for a, b in zip(errors, errors[1:]))
@@ -282,11 +280,9 @@ def bv_bounds(stencil: Stencil, n_values) -> BVReport:
     total = abs(stencil.coefficient_sum())
     linfs = [max(float(np.max(np.abs(np.cumsum(g.values)))), total ** g.n)
              for g in _direct_tables(stencil, n_values)]
-    sups = []
-    for n in n_values:
-        # Partial sums are 0 left of the window and constant right of it.
-        g, _ = _spectral_window(stencil, n)
-        sups.append(float(np.max(np.abs(np.cumsum(g.values)))))
+    # Partial sums are 0 left of the window and constant right of it.
+    windows = (_spectral_window(stencil, n)[0] for n in n_values)
+    sups = [float(np.max(np.abs(np.cumsum(g.values)))) for g in windows]
     sup_overall = max(sups)
     return BVReport(
         n_values=tuple(n_values), sup_cumsum_per_n=tuple(sups),

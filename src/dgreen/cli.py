@@ -32,7 +32,7 @@ from .green import (
     WorkBudgetError,
     _check_budget,
     _check_work,
-    _evolve_entries,
+    _evolve_bytes,
     _step_count,
     evolve,
     green_direct,
@@ -333,13 +333,13 @@ def cmd_coeffs(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
 
 
 def cmd_green(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
-    # Before the route runs, which checks its own transforms: the table, the
-    # approx columns and the CSV or JSON text of its rows, sixteen
-    # complex128 entries (256 B) a row, and 1 MB for the cells of one
-    # block of rows.  Traced from n = 5e3 to 4e5, either route and format:
-    # at most 203 B a row for a complex stencil, whose cells are all
-    # nonzero, and 188 B for real ones; from n = 5e4 on, 200 and 113 B.
-    _check_budget(16 * (_step_count(cfg.n) * s.support_width + 1) + 65536)
+    # Before the route runs, which checks its own charge: the table, the
+    # approx columns and the CSV or JSON text of its rows, 256 B a row, and
+    # 1 MB for the cells of one block of rows.  Traced from n = 5e3 to 4e5,
+    # either route and format: at most 203 B a row for a complex stencil,
+    # whose cells are all nonzero, and 188 B for real ones; from n = 5e4
+    # on, 200 and 113 B.
+    _check_budget(256 * (_step_count(cfg.n) * s.support_width + 1) + 2 ** 20)
     if cfg.method == "direct":
         table = green_direct(s, cfg.n)
     else:
@@ -379,12 +379,12 @@ def cmd_evolve(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
     # an extra step.
     n = max(0, math.ceil(steps - 1e-9))
     j_half = math.ceil(cfg.half_width / cfg.dx)
-    # Before anything is allocated: the step data, evolve's table and
-    # arrays, and the CSV of the output window, whose columns and text
-    # take about twelve complex128 entries a row.
+    # Before anything is allocated: the float64 step data, evolve's table
+    # and arrays, and the CSV of the output window, whose columns and text
+    # take about 192 B a row.
     cells = 2 * j_half + 3
-    _check_budget(cells + _evolve_entries(cells, n, s)
-                  + 12 * (cells + n * s.support_width))
+    _check_budget(8 * cells + _evolve_bytes(cells, n, s, 8)
+                  + 192 * (cells + n * s.support_width))
     u0 = sample_step(cfg.dx, cfg.half_width, -j_half - 1, j_half + 1)
     un = evolve(s, u0, n)
     # u0 on un's window: the cells beyond u0's own window lie off the step,

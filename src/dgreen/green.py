@@ -82,8 +82,8 @@ _SWEEP_BLOCK = 8
 
 
 class MemoryBudgetError(RuntimeError):
-    """Raised when a transform, the direct route's tables or evolve's
-    output would exceed the memory budget."""
+    """Raised when a route's charge in bytes, plus the fixed term of
+    _check_budget, would exceed the memory budget."""
 
 
 class WorkBudgetError(RuntimeError):
@@ -132,8 +132,8 @@ class GridFunction:
     """A doubly infinite grid sequence stored on a finite window.
 
     Outside the stored window the sequence is zero.  Complex values are
-    stored as complex128, others as float64; empty, non-1-d and
-    non-numeric values raise ValueError.
+    stored as complex128, others as float64; empty, non-1-d, non-numeric
+    and non-finite values raise ValueError.
     """
 
     min_index: int
@@ -142,8 +142,8 @@ class GridFunction:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex if np.iscomplexobj(
             self.values) else float)
-        if vals.ndim != 1 or len(vals) == 0:
-            raise ValueError("values must be a nonempty 1-d array")
+        if vals.ndim != 1 or len(vals) == 0 or not np.isfinite(vals).all():
+            raise ValueError("values must be a nonempty, finite 1-d array")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -189,6 +189,11 @@ def _step_count(n) -> int:
     return operator.index(n)
 
 
+def _itemsize(stencil: Stencil) -> int:
+    """Bytes of an entry of the stencil's tables: float64 or complex128."""
+    return 8 if stencil.is_real else 16
+
+
 def _kernel(stencil: Stencil) -> np.ndarray:
     """The coefficient array, as float64 for real stencils."""
     kernel = stencil.as_array()
@@ -227,9 +232,7 @@ class _LongDouble:
         return x.astype(np.clongdouble if x.dtype.kind == "c"
                         else np.longdouble, copy=False)
 
-    @staticmethod
-    def convolve(a, b):
-        return np.convolve(a, b)
+    convolve = staticmethod(np.convolve)
 
 
 class _DoubleDouble:
@@ -296,11 +299,6 @@ def _narrow(x):
     return x.astype(complex if x.dtype.kind == "c" else float, copy=False)
 
 
-def _lead(x):
-    """The part of x, in any of the precisions, that sizes its entries."""
-    return x[0] if x.ndim == 2 else x
-
-
 # The extended precision of the direct route, chosen once.  Long double
 # is taken in the one format that was measured, x87's: a 112-bit long
 # double runs in software.
@@ -320,8 +318,8 @@ _BLOCK = 1024
 
 # The direct route's peak for tables up to G^n, with the caller holding
 # the last one: _DIRECT_TABLES tables of n * width + 1 entries in the
-# stencil's dtype, plus _DIRECT_SCRATCH complex128 entries (64 KB) for the
-# extended short products and their blocks.  Traced with Lax-Wendroff
+# stencil's dtype; the extended short products and their blocks take
+# the fixed term of _check_budget.  Traced with Lax-Wendroff
 # 3/4 and 0.3, Beam-Warming 3/2, two 5-point stencils and a complex
 # 3-point one on [1000, 1001], [4000, 4112], [4112, 4112],
 # [100, 1000, 3000], [250, 500, 1000, 2000], every n up to 2000 and, for
@@ -330,22 +328,20 @@ _BLOCK = 1024
 # n = 1000 the short products stay extended, and at most 40 KB above
 # seven tables was traced.
 _DIRECT_TABLES = 7
-_DIRECT_SCRATCH = 4096
 
 
-def _direct_entries(stencil: Stencil, n: int) -> float:
-    """Complex128 entries the direct route holds at its peak for tables
-    up to G^n: a real stencil's tables are float64, half an entry a row."""
+def _direct_bytes(stencil: Stencil, n: int) -> int:
+    """Bytes the direct route holds at its peak for tables up to G^n."""
     rows = n * stencil.support_width + 1
-    return (_DIRECT_TABLES * rows / (2 if stencil.is_real else 1)
-            + _DIRECT_SCRATCH)
+    return _DIRECT_TABLES * rows * _itemsize(stencil)
 
 
-def _trim(start: int, values, lead):
-    """The span (start, values) without the entries at either end whose
-    |lead| is below _TINY; a nan is never trimmed.  A trimmed span is a
-    copy, so the untrimmed product is freed."""
-    small = np.abs(lead) < _TINY
+def _trim(start: int, values):
+    """The span (start, values), in any of the precisions, without the
+    entries at either end whose leading part (the hi row of double-double)
+    is below _TINY in magnitude; a nan is never trimmed.  A trimmed span is
+    a copy, so the untrimmed product is freed."""
+    small = np.abs(values[0] if values.ndim == 2 else values) < _TINY
     lo = int(small.argmin())
     if small[lo]:                   # the whole power has underflowed
         return start, values[..., :0]
@@ -397,7 +393,7 @@ def _span_product(a, b, repeats: int):
             out = wide.convolve(wide.widen(va), wide.widen(vb))
         else:
             out = _mixed_product(wide, va, vb)
-        start, out = _trim(start, out, _lead(out))
+        start, out = _trim(start, out)
         if not keep and out.shape[-1] > _SHORT:
             out = _narrow(out)
     return start, out
@@ -435,7 +431,7 @@ def _direct_tables(stencil: Stencil, n_values):
     reads spans no longer than the largest table.  Each table is a new
     array in the stencil's dtype, float64 or complex128, which the caller
     may write to.  WorkBudgetError for the largest n is raised before
-    anything is allocated, and so is MemoryBudgetError for _direct_entries,
+    anything is allocated, and so is MemoryBudgetError for _direct_bytes,
     which bounds the tower, the running power, the product being built and
     the table yielded, with the caller's last table.
 
@@ -464,11 +460,12 @@ def _direct_tables(stencil: Stencil, n_values):
     """
     n_max = n_values[-1]
     _check_work(n_max, 1, stencil.support_width)
-    _check_budget(_direct_entries(stencil, n_max))
+    _check_budget(_direct_bytes(stencil, n_max))
     width = stencil.support_width
     if width == 0:
-        # A pure shift: G^n is a^n alone, and a loop of up to WORK_LIMIT
-        # steps would spend its time in call overhead.
+        # A pure shift: G^n is a^n alone.  One np.power over the list
+        # (_shift_powers) gives each n the bits that green_spectral and
+        # spectral_sweep read.
         powers = _shift_powers(stencil, np.array(n_values))
         for n, power in zip(n_values, powers):
             yield GreenTable(n=n, min_offset=n * stencil.min_offset,
@@ -500,7 +497,7 @@ def green_direct(stencil: Stencil, n: int) -> GreenTable:
     _direct_tables).  Entries below the smallest normal float64 at either
     end of the table are exact +0.0 (its underflow rule).  Raises
     WorkBudgetError when n^2 * support_width exceeds WORK_LIMIT and
-    MemoryBudgetError when _direct_entries exceeds the memory budget.  The
+    MemoryBudgetError when _direct_bytes exceeds the memory budget.  The
     table is float64 for a real stencil, complex128 otherwise.  The
     offsets are built here, after the tower has been freed.
     """
@@ -530,9 +527,19 @@ def _fft_length(needed: int) -> int:
         p5 *= 5
 
 
-def _check_budget(entries: int) -> None:
-    """Raise MemoryBudgetError if `entries` complex128 values exceed budget.
+# The fixed term of every charge: numpy's and Python's small objects,
+# which no charge counts by the row, and the direct route's extended
+# short products and their blocks.  Traced at most 40 KB above seven
+# direct tables, 4.2 KB above the twelve arrays of a transform and 2.7 KB
+# for a pure shift's sweep at n_max = 1.
+_FIXED_BYTES = 65536
 
+
+def _check_budget(nbytes: int) -> None:
+    """Raise MemoryBudgetError if `nbytes` plus _FIXED_BYTES exceed the
+    memory budget.
+
+    Every route states its charge in bytes, each array at its own dtype.
     The budget is the DG_MEMORY_BUDGET_MB environment variable in MB, else
     512 MB.  A value that is not a finite number > 0 raises ValueError.
     """
@@ -544,7 +551,7 @@ def _check_budget(entries: int) -> None:
     if not 0.0 < budget < math.inf:
         raise ValueError(f"{MEMORY_BUDGET_ENV} must be a finite number of "
                          f"MB > 0, got {text!r}")
-    needed_mb = 16 * entries / 1e6
+    needed_mb = (nbytes + _FIXED_BYTES) / 1e6
     if needed_mb > budget:
         # Three significant digits, or as many more as it takes for the
         # need to read above the budget.
@@ -676,7 +683,14 @@ def _aliased_coefficients(stencil: Stencil, n: int, size: int, alpha: float,
     return coeffs, floor, far_mass
 
 
-def _spectral_window(stencil: Stencil, n: int, reserve: float = 0):
+def _window_bytes(size: int, half: bool) -> int:
+    """Bytes a transform of `size` points holds at its peak: twelve
+    complex128 arrays of the sampled frequencies, size // 2 + 1 of them
+    with `half` set (real stencils), else size."""
+    return 12 * 16 * (size // 2 + 1 if half else size)
+
+
+def _spectral_window(stencil: Stencil, n: int, reserve: int = 0):
     """G^n on the window that holds its mass, and the transform length used.
 
     For real stencils the transform length M starts from the a-priori window
@@ -687,9 +701,7 @@ def _spectral_window(stencil: Stencil, n: int, reserve: float = 0):
     length, the one for n * support_width + 1 points, the table is the
     whole support.  Entries of G^n outside the returned window are below
     rounding.  The memory budget is checked before every transform against
-    twelve complex arrays of the sampled frequencies (M/2 + 1 of them for
-    real stencils, M otherwise) plus `reserve` entries the caller will
-    allocate.
+    _window_bytes plus `reserve` bytes the caller will allocate.
     """
     n = _step_count(n)
     width = stencil.support_width
@@ -706,9 +718,7 @@ def _spectral_window(stencil: Stencil, n: int, reserve: float = 0):
     size = full if size is None or not half else min(size, full)
     shift, frac = _drift(alpha, n)
     while True:
-        # Traced peak: twelve complex arrays of the sampled frequencies.
-        samples = size // 2 + 1 if half else size
-        _check_budget(12 * samples + reserve)
+        _check_budget(_window_bytes(size, half) + reserve)
         coeffs, floor, far_mass = _aliased_coefficients(
             stencil, n, size, alpha, frac, half)
         if size >= full:
@@ -729,16 +739,15 @@ def green_spectral(stencil: Stencil, n: int) -> GreenTable:
     """G^n on its whole support by the windowed spectral route.
 
     Entries outside the window that holds the mass of G^n are exact zeros;
-    the table is float64 for real stencils.  Raises
-    MemoryBudgetError when the transforms plus the full-support table would
-    exceed the budget (the DG_MEMORY_BUDGET_MB environment variable, else
-    512 MB): 25 B a row, 16 for a complex table (8 for a real one), 8 for
-    its offsets, which are built here, and 1 for the finiteness mask of
-    GreenTable.
+    the table is float64 for real stencils.  Raises MemoryBudgetError when
+    the transforms plus the full-support table would exceed the budget:
+    each row takes the table's itemsize, 8 B of offsets, which are built
+    here, and 1 B of GreenTable's finiteness mask.
     """
     n = _step_count(n)
     support = n * stencil.support_width + 1
-    window, _ = _spectral_window(stencil, n, 25 * support / 16)
+    reserve = (_itemsize(stencil) + 9) * support
+    window, _ = _spectral_window(stencil, n, reserve)
     values = np.zeros(support, dtype=window.values.dtype)
     start = window.min_offset - n * stencil.min_offset
     values[start:start + len(window.values)] = window.values
@@ -748,18 +757,24 @@ def green_spectral(stencil: Stencil, n: int) -> GreenTable:
     return table
 
 
-def _sweep_entries(block: int, samples: int, size: int, n_max: int) -> int:
-    """Complex128 entries a sweep holds at its peak.
+def _sweep_bytes(stencil: Stencil, size: int, n_max: int) -> int:
+    """Bytes a sweep to n_max on `size` points holds at its peak.
 
-    Per row of a block: the power table, the powered rows of this block
-    and the last one, and the coefficients and magnitudes of this block and
-    the last one (real arrays of `size`, complex for complex stencils, the
-    transform's scratch included).  Plus the symbol with its temporaries and
-    the four outputs.  It also exceeds the twelve arrays of samples of the
-    planning transform in _spectral_window, so it bounds the traced peak of
-    the whole call.
+    The outputs take per n the sums at the stencil's itemsize, three
+    float64 norms and a finiteness mask; a pure shift holds them alone.
+    Per row of a block there are three complex128 arrays of the samples
+    (the power table and the powered rows of this block and the last),
+    and the coefficients of this block and the last at the stencil's
+    itemsize with one float64 array of magnitudes, each of `size`.  Plus
+    eight complex128 arrays of the samples for the symbol and its
+    temporaries.
     """
-    return block * (3 * samples + 3 * size // 2) + 8 * samples + 3 * n_max
+    outputs = (_itemsize(stencil) + 25) * n_max
+    if stencil.support_width == 0:
+        return outputs
+    samples = size // 2 + 1 if stencil.is_real else size
+    per_row = 48 * samples + (2 * _itemsize(stencil) + 8) * size
+    return min(_SWEEP_BLOCK, n_max) * per_row + 128 * samples + outputs
 
 
 def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float):
@@ -767,14 +782,12 @@ def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float):
     half = stencil.is_real
     samples = size // 2 + 1 if half else size
     block = min(_SWEEP_BLOCK, n_max)
-    _check_budget(_sweep_entries(block, samples, size, n_max))
+    _check_budget(_sweep_bytes(stencil, size, n_max))
     # Samples F(-2 pi k / size), so the inverse transform puts G_j at j.
     symbol = symbol_eval(stencil, (-2.0 * math.pi / size) * np.arange(samples))
     table = np.cumprod(np.broadcast_to(symbol, (block, samples)), axis=0)
     sums = np.empty(n_max, dtype=float if half else complex)
-    l1 = np.empty(n_max)
-    l2 = np.empty(n_max)
-    linf = np.empty(n_max)
+    l1, l2, linf = np.empty((3, n_max))
     # Supports of n * width + 1 sites up to `size` cannot alias.  Past that,
     # coefficient s_n + m mod size holds the mass m sites from the drift
     # s_n, and the guard band around m = size/2 must be at the rounding floor.
@@ -822,12 +835,11 @@ def spectral_sweep(stencil: Stencil, n_max: int):
     transform, and the norms are row reductions over all M coefficients.
     Every n whose support exceeds M must show its guard band at the
     rounding floor, else M doubles and the sweep reruns.  The memory budget
-    is checked before every run against the arrays of one block plus the
-    outputs (_sweep_entries); a pure shift holds the outputs alone.
+    is checked before every run against _sweep_bytes.
     """
     n_max = _step_count(n_max)
     if stencil.support_width == 0:
-        _check_budget(3 * n_max)
+        _check_budget(_sweep_bytes(stencil, 0, n_max))
         sums = _shift_powers(stencil, np.arange(1, n_max + 1))
         with np.errstate(all="ignore"):
             mags = np.abs(sums)
@@ -843,16 +855,19 @@ def spectral_sweep(stencil: Stencil, n_max: int):
     return result
 
 
-def _evolve_entries(cells: int, n: int, stencil: Stencil) -> float:
-    """Complex128 entries evolve holds at its peak on data of `cells` cells.
+def _evolve_bytes(cells: int, n: int, stencil: Stencil, itemsize: int) -> int:
+    """Bytes evolve holds at its peak on data of `cells` cells of
+    `itemsize` bytes each.
 
-    The direct route's peak for G^n (_direct_entries) and two complex128
-    arrays of the output window of cells + n * width entries: the
-    convolution and the copy that np.convolve makes of the data or the
-    table when one is real and the other complex.
+    The direct route's peak for G^n (_direct_bytes) and two arrays of the
+    output window of cells + n * width entries at the output's itemsize,
+    the larger of the data's and the stencil's: the convolution and the
+    copy that np.convolve makes of the data or the table when one is real
+    and the other complex.
     """
-    return (_direct_entries(stencil, n)
-            + 2 * (cells + n * stencil.support_width))
+    window = cells + n * stencil.support_width
+    return (_direct_bytes(stencil, n)
+            + 2 * max(itemsize, _itemsize(stencil)) * window)
 
 
 def evolve(stencil: Stencil, u0: GridFunction, n: int) -> GridFunction:
@@ -866,13 +881,14 @@ def evolve(stencil: Stencil, u0: GridFunction, n: int) -> GridFunction:
     Raises WorkBudgetError when start + n * (start + n * width) exceeds
     WORK_LIMIT, start being the length of u0's window, and
     MemoryBudgetError when the table and the output window exceed the
-    memory budget (_evolve_entries); both before anything is allocated.
+    memory budget (_evolve_bytes); both before anything is allocated.
     """
     if n == 0:
         return u0
     n = _step_count(n)
     _check_work(n, len(u0.values), stencil.support_width)
-    _check_budget(_evolve_entries(len(u0.values), n, stencil))
+    _check_budget(_evolve_bytes(len(u0.values), n, stencil,
+                                u0.values.itemsize))
     g = green_direct(stencil, n).values
     return GridFunction(min_index=u0.min_index + n * stencil.min_offset,
                         values=np.convolve(u0.values, g))

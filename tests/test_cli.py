@@ -51,13 +51,14 @@ def run(*argv):
 
 def assert_traced_peak_within_check(monkeypatch, *argv):
     """Run argv; cli checks the budget once, and the traced peak of the
-    whole run stays within that many complex128 entries."""
+    whole run stays within that need: the bytes checked plus the fixed
+    term of _check_budget."""
     checked = []
     check = cli._check_budget
 
-    def spy(entries):
-        checked.append(entries)
-        check(entries)
+    def spy(nbytes):
+        checked.append(nbytes)
+        check(nbytes)
 
     monkeypatch.setattr(cli, "_check_budget", spy)
     tracemalloc.start()
@@ -66,7 +67,8 @@ def assert_traced_peak_within_check(monkeypatch, *argv):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(checked) == 1 and peak <= 16 * checked[0]
+    assert (len(checked) == 1
+            and peak <= checked[0] + green._FIXED_BYTES)
 
 
 def read_csv(path):
@@ -455,7 +457,7 @@ class TestGreen:
             "", "error: step counts above 2**53 are not exact in float64\n")
 
     def test_budget_checked_before_route(self, tmp_path, monkeypatch, capsys):
-        # 4e5 rows of sixteen complex128 entries each and 1 MB: 103 MB.
+        # 4e5 rows of 256 B, 1 MB and the fixed term of 64 KiB: 103.5 MB.
         monkeypatch.setenv("DG_MEMORY_BUDGET_MB", "64")
         out = tmp_path / "g.csv"
         with mock.patch.object(cli, "green_spectral",
@@ -463,17 +465,17 @@ class TestGreen:
             assert run("green", "--lambda", "0.75", "--n", "200000",
                        "--out", str(out)) == EXIT_MEMORY
         assert capsys.readouterr().err == (
-            "error: the computation needs about 103 MB, budget is 64 MB\n")
+            "error: the computation needs about 104 MB, budget is 64 MB\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_refusal_reads_above_budget(self, monkeypatch, capsys):
-        # 16 * 1995905 + 65536 entries of 16 bytes: 512.000256 MB, which
-        # three digits would print as the 512 MB budget.
+        # 256 * 1995649 B, 1 MB and the fixed term of 64 KiB: 512.000256
+        # MB, which three digits would print as the 512 MB budget.
         monkeypatch.delenv("DG_MEMORY_BUDGET_MB", raising=False)
         with mock.patch.object(cli, "green_spectral",
                                side_effect=AssertionError):
             assert run("green", "--lambda", "0.75",
-                       "--n", "997952") == EXIT_MEMORY
+                       "--n", "997824") == EXIT_MEMORY
         assert capsys.readouterr() == ("", "error: the computation needs "
                                        "about 512.0003 MB, budget is 512 MB\n")
 
@@ -739,7 +741,7 @@ class TestEvolve:
 
     def test_budget_checked_before_step_data(self, tmp_path, monkeypatch,
                                              capsys):
-        # 2e5 cells of step data: about 48 MB with evolve's arrays and CSV.
+        # 2e5 cells of step data: about 43 MB with evolve's arrays and CSV.
         monkeypatch.setenv("DG_MEMORY_BUDGET_MB", "1")
         out = tmp_path / "ev.csv"
         with mock.patch.object(cli, "sample_step", side_effect=AssertionError):
@@ -747,7 +749,7 @@ class TestEvolve:
                        "--t", "1e-5", "--half-width", "1",
                        "--out", str(out)) == EXIT_MEMORY
         assert capsys.readouterr().err == (
-            "error: the computation needs about 48.1 MB, budget is 1 MB\n")
+            "error: the computation needs about 43.3 MB, budget is 1 MB\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args", [
