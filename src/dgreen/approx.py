@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .green import _step_count
+from .green import _EXP_REACH, _step_count
 from .stencil import SymbolExpansion
 
 __all__ = [
@@ -285,10 +285,9 @@ class ApproxParams:
 # a block stay in cache, and below glibc's 128 KiB mmap threshold.
 _BLOCK = 1 << 13
 
-# exp(-x) is +0 for x > 745.14, so the Gaussian factor exp(-beta0 d^2 / n)
-# is +0 beyond the reach |d| = sqrt(_EXP_REACH n / beta0).  The slack of
-# 0.06% in |d| covers the rounding of every test against the reach.
-_EXP_REACH = 746.0
+# The Gaussian factor exp(-beta0 d^2 / n) is +0 beyond the reach
+# |d| = sqrt(_EXP_REACH n / beta0).  The slack of 0.06% in |d| covers the
+# rounding of every test against the reach.
 
 # exp(-zeta) underflows at x ~ 107.7, beyond which airy_ai returns +0.
 _AI_ZERO = 110.0

@@ -379,9 +379,9 @@ def cmd_evolve(cfg: RunConfig, s: Stencil, audit: AssumptionAudit) -> int:
     # an extra step.
     n = max(0, math.ceil(steps - 1e-9))
     j_half = math.ceil(cfg.half_width / cfg.dx)
-    # Before anything is allocated: the float64 step data, evolve's table
-    # and arrays, and the CSV of the output window, whose columns and text
-    # take about 192 B a row.
+    # Before anything is allocated: the float64 step data, evolve's own
+    # charge for that data (_evolve_bytes), and the CSV of the output
+    # window, whose columns and text take about 192 B a row.
     cells = 2 * j_half + 3
     _check_budget(8 * cells + _evolve_bytes(cells, n, s, 8)
                   + 192 * (cells + n * s.support_width))
@@ -462,17 +462,25 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
     """One subparser per _COMMANDS entry; options left out of argv stay out
-    of the namespace, so RunConfig's field defaults are the only ones."""
+    of the namespace, so RunConfig's field defaults are the only ones.
+
+    Only the command that argv[0] names gets its options, or every command
+    when argv names none (as in dgreen --help): the others are never
+    parsed.
+    """
     parser = argparse.ArgumentParser(
         prog="dgreen",
         description="Green's functions of explicit one-step schemes: exact "
                     "tables, approximations, envelope and growth checks.")
     subs = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, command in _COMMANDS.items():
         p = subs.add_parser(name, help=command.help,
                             argument_default=argparse.SUPPRESS)
+        if named not in (None, name):
+            continue
         p.add_argument("--scheme", choices=("lw", "bw", "custom"))
         p.add_argument("--lambda", dest="lam", type=float,
                        help="Courant number of the named scheme")
@@ -511,7 +519,7 @@ def main(argv=None) -> int:
         if (argv[k] == "--custom" and argv[k + 1].startswith("-")
                 and not argv[k + 1].startswith("--")):
             argv[k:k + 2] = ["--custom=" + argv[k + 1]]
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as ex:

@@ -14,10 +14,13 @@ stencils meeting the paper's assumptions the mass of G^n sits in an O(sqrt n)
 window around the front j = alpha*n, so the route samples only as many
 points as that window needs and checks afterwards that nothing else folded
 into it; other stencils get the alias-free grid of n * support_width + 1
-points.  Either way the result is exact up to rounding.  Every transform
-length is the smallest 16 * 2^a * 3^b * 5^c at or above the points needed:
-from 500 points on at most 1.13 times them, where the next power of two
-may be twice.  Tables, grid functions and sweep sums are float64 when
+points.  Either way the result is exact up to rounding.  The route
+samples only where F^n can be nonzero: an upper bound on |F|^2 from the
+coefficient autocorrelation marks the samples whose n-th power underflows
+to +0, and those are never evaluated.  Every transform length is the
+smallest 16 * 2^a * 3^b * 5^c at or above the points needed: from 500
+points on at most 1.13 times them, where the next power of two may be
+twice.  Tables, grid functions and sweep sums are float64 when
 the stencil's coefficients are real (and, for evolve, the data too), and
 complex128 otherwise.
 """
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stencil import KAPPA2_TOL, Stencil, _expansion, _power_sums, symbol_eval
+from .stencil import KAPPA2_TOL, Stencil, _power_sums, symbol_eval
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET_MB",
@@ -76,6 +79,10 @@ _TAIL_LOG = 40.0
 _GUARD = 8
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)   # the smallest normal float64
+
+# exp(-x) is +0 for x > 745.14: a sample whose n-th power has a log below
+# -_EXP_REACH is +0, and so is every Gaussian factor past that exponent.
+_EXP_REACH = 746.0
 
 # Consecutive n that spectral_sweep powers and transforms as one batch.
 _SWEEP_BLOCK = 8
@@ -577,7 +584,7 @@ def _window_plan(stencil: Stencil, n: int):
     alpha is clamped into the support, so the lags stay no longer than its
     width: the normalized drift of a stencil of small sum lies far outside.
     """
-    e = _expansion(stencil)
+    e = stencil._expansion
     if not (stencil.is_conservative() and e.kappa2 <= KAPPA2_TOL
             and e.nondegenerate):
         return min(max(e.alpha, stencil.min_offset), stencil.max_offset), None
@@ -594,18 +601,24 @@ _COS_TAIL = tuple((-1) ** k / math.factorial(2 * k + 4) for k in range(9))
 _SIN_TAIL = tuple(-(-1) ** k / math.factorial(2 * k + 3) for k in range(9))
 
 
-def _exp_tails(x: np.ndarray):
-    """cos x - 1 + x^2/2 and sin x - x, both to relative accuracy."""
+def _exp_tails(x: np.ndarray, cos: np.ndarray, sin: np.ndarray):
+    """cos x - 1 + x^2/2 and sin x - x, both to relative accuracy, formed in
+    place of the arrays cos x and sin x: from their Taylor series where
+    |x| <= 1."""
+    cos -= 1.0
+    cos += 0.5 * (x * x)
+    sin -= x
+    small = np.abs(x) <= 1.0
+    x = x[small]
     x2 = x * x
     cos_poly = np.full(x.shape, _COS_TAIL[-1])
     sin_poly = np.full(x.shape, _SIN_TAIL[-1])
     for c, s in zip(_COS_TAIL[-2::-1], _SIN_TAIL[-2::-1]):
         cos_poly = cos_poly * x2 + c
         sin_poly = sin_poly * x2 + s
-    small = np.abs(x) <= 1.0
-    cos_tail = np.where(small, cos_poly * x2 * x2, np.cos(x) - 1.0 + 0.5 * x2)
-    sin_tail = np.where(small, sin_poly * x2 * x, np.sin(x) - x)
-    return cos_tail, sin_tail
+    cos[small] = cos_poly * x2 * x2
+    sin[small] = sin_poly * x2 * x
+    return cos, sin
 
 
 def _grid_sum(values: np.ndarray, half: bool):
@@ -618,6 +631,64 @@ def _grid_sum(values: np.ndarray, half: bool):
     return values.sum(axis=-1)
 
 
+def _autocorrelation(stencil: Stencil, rounding: float):
+    """r_0 plus slack, and {d: r_d} for the lags d > 0, of the bound on
+    |F|^2 that _square_bound evaluates.
+
+    r_d = sum_{l-m=d} a_l conj(a_m) over the nonzero terms.  The slack is
+    (T + D + 16) eps A^2 for the rounding of the bound, A = sum |a_l|, T
+    terms and D lags (each reduced angle is within 4 pi eps, its cos and
+    sin within 14 eps), plus rounding * (2 A + rounding), which covers any
+    value of |F| off by at most `rounding`.
+    """
+    terms = stencil.terms
+    lags = {}
+    for l, a in terms:
+        for m, b in terms:
+            if l > m:
+                lags[l - m] = lags.get(l - m, 0.0) + a * b.conjugate()
+    total = math.fsum(abs(a) for _, a in terms)
+    slack = ((len(terms) + len(lags) + 16) * _EPS * total * total
+             + rounding * (2.0 * total + rounding))
+    return math.fsum(abs(a) ** 2 for _, a in terms) + slack, lags
+
+
+def _square_bound(size: int, samples: int, base: float,
+                  lags: dict) -> np.ndarray:
+    """An upper bound on |F(theta_k)|^2 at theta_k = -2 pi k / size for
+    k < samples, from _autocorrelation's (base, lags).
+
+    |F|^2 is r_0 + 2 sum_{d>0} (Re r_d cos d theta - Im r_d sin d theta),
+    each d theta reduced in integers to -2 pi ((d k) mod size) / size.
+    """
+    bound = np.full(samples, base)
+    k = np.arange(samples)
+    for d, r in lags.items():
+        angle = (2.0 * math.pi / size) * (d * k % size)
+        bound += (2.0 * r.real) * np.cos(angle)
+        if r.imag:
+            bound += (2.0 * r.imag) * np.sin(angle)
+    return bound
+
+
+def _live_band(stencil: Stencil, n: int, size: int, samples: int,
+               rounding: float):
+    """The mask of the samples of _square_bound's grid whose n-th power
+    can be nonzero, or None when that may be every one.
+
+    A sample whose bound has n/2 log(bound) < -_EXP_REACH, so that any
+    computed |F|^n within `rounding` of it underflows, is +0 in the route.
+    The bound is evaluated only when its least possible value,
+    r_0 - 2 sum |r_d| plus the slack, lies below that.
+    """
+    reach = math.exp(-2.0 * _EXP_REACH / n)
+    base, lags = _autocorrelation(stencil, rounding)
+    if base - 2.0 * math.fsum(map(abs, lags.values())) >= reach:
+        return None
+    live = _square_bound(size, samples, base, lags) >= reach
+    return None if live.all() else live
+
+
 def _aliased_coefficients(stencil: Stencil, n: int, size: int, alpha: float,
                           frac: float, half: bool):
     """Coefficients of P(theta) = F(theta)^n exp(-i s theta) on `size` points.
@@ -627,10 +698,11 @@ def _aliased_coefficients(stencil: Stencil, n: int, size: int, alpha: float,
     theta_k = -2 pi k / size for k <= size/2 is sampled and irfft supplies
     the conjugate half.  Also returns the rounding floor of each coefficient
     and the grid mass of frequencies whose packets travel beyond the window
-    core.
+    core.  Only the samples of _live_band are evaluated; the others, whose
+    n-th power underflows, are +0.
     """
-    k = np.arange(size // 2 + 1) if half else np.fft.fftfreq(size, 1.0 / size)
-    theta = (-2.0 * math.pi / size) * k
+    samples = size // 2 + 1 if half else size
+    k = np.arange(samples) if half else np.fft.fftfreq(size, 1.0 / size)
     # z = F(theta) exp(-i alpha theta) - 1 with x_l = (l - alpha) theta is
     #   (sum a - 1) + i m1 theta - m2 theta^2 / 2
     #   + sum a_l (c(x_l) + i s(x_l)),
@@ -646,16 +718,42 @@ def _aliased_coefficients(stencil: Stencil, n: int, size: int, alpha: float,
         raise ValueError(
             "the moments of the stencil coefficients overflow") from None
     lags = [(coeff, offset - alpha) for offset, coeff in stencil.terms]
+    # The rounding of |1 + z| is about eps (1 + scale), scale being the
+    # rounding scale below; for |theta| <= pi, 1 + scale is at most
+    # 1 + |defect| + pi |m1| + pi^2 |m2| / 2 + sum |a_l| (3 + X + X^2 / 2),
+    # X = pi |l - alpha|, and 4 (T + 8) eps times that bounds the rounding
+    # for T terms.
+    scale_max = (1.0 + abs(defect) + math.pi * abs(m1)
+                 + 0.5 * math.pi ** 2 * abs(m2))
+    for coeff, lag in lags:
+        x = math.pi * abs(lag)
+        scale_max += abs(coeff) * (3.0 + x + 0.5 * x * x)
+    rounding = 4 * (len(lags) + 8) * _EPS * scale_max
+    live = _live_band(stencil, n, size, samples, rounding)
+    if live is not None:
+        k = k[live]
+    theta = (-2.0 * math.pi / size) * k
     z = defect + (1j * m1) * theta - (0.5 * m2) * theta ** 2
     # The rounding scale of z.
     scale = abs(defect) + abs(m1) * np.abs(theta) + 0.5 * abs(m2) * theta ** 2
     slope = np.zeros(theta.shape, dtype=complex)    # d(1 + z)/d(i theta)
     for coeff, lag in lags:
         x = lag * theta
-        cos_tail, sin_tail = _exp_tails(x)
+        cos, sin = np.cos(x), np.sin(x)
+        # cos x + i sin x has the bits of np.exp(1j * x).
+        slope += (coeff * lag) * (cos + 1j * sin)
+        cos_tail, sin_tail = _exp_tails(x, cos, sin)
         z += coeff * (cos_tail + 1j * sin_tail)
         scale += abs(coeff) * (np.abs(cos_tail) + np.abs(sin_tail))
-        slope += (coeff * lag) * np.exp(1j * x)
+
+    def spread(values):
+        """The live samples' values on the whole grid, +0 elsewhere."""
+        if live is None:
+            return values
+        out = np.zeros(samples, dtype=values.dtype)
+        out[live] = values
+        return out
+
     centred = 1.0 + z
     # Powers that overflow give non-finite coefficients, which GreenTable
     # refuses; numpy's warnings on the way would only repeat that.
@@ -676,9 +774,10 @@ def _aliased_coefficients(stencil: Stencil, n: int, size: int, alpha: float,
         # depth; the floor is their worst-case sum over the grid.
         noise = mags * (np.nan_to_num(rel_noise) + np.abs(phase)
                         + math.log2(size))
-        floor = _EPS * _grid_sum(noise, half) / size
+        floor = _EPS * _grid_sum(spread(noise), half) / size
         far = mags * (np.abs(travel) > size // 2 - size // _GUARD)
-        far_mass = _grid_sum(far, half) / size
+        far_mass = _grid_sum(spread(far), half) / size
+        powered = spread(powered)
         coeffs = np.fft.irfft(powered, size) if half else np.fft.ifft(powered)
     return coeffs, floor, far_mass
 
@@ -859,15 +958,17 @@ def _evolve_bytes(cells: int, n: int, stencil: Stencil, itemsize: int) -> int:
     """Bytes evolve holds at its peak on data of `cells` cells of
     `itemsize` bytes each.
 
-    The direct route's peak for G^n (_direct_bytes) and two arrays of the
-    output window of cells + n * width entries at the output's itemsize,
-    the larger of the data's and the stencil's: the convolution and the
-    copy that np.convolve makes of the data or the table when one is real
-    and the other complex.
+    The direct route's peak for G^n (_direct_bytes), the output window of
+    cells + n * width entries at the output's itemsize, the larger of the
+    data's and the stencil's, and GridFunction's finiteness mask of 1 B an
+    entry.  When the data and the stencil differ in dtype, np.convolve
+    also copies the real one to complex128, which one more window at the
+    output's itemsize covers; of the same dtype, it copies neither.
     """
     window = cells + n * stencil.support_width
+    windows = 1 if itemsize == _itemsize(stencil) else 2
     return (_direct_bytes(stencil, n)
-            + 2 * max(itemsize, _itemsize(stencil)) * window)
+            + (windows * max(itemsize, _itemsize(stencil)) + 1) * window)
 
 
 def evolve(stencil: Stencil, u0: GridFunction, n: int) -> GridFunction:

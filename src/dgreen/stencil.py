@@ -18,6 +18,7 @@ scheme fails.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,8 +77,10 @@ class Stencil:
     read-only complex128 array that as_array returns, the exact sum that
     coefficient_sum returns, `terms`, the (offset, coefficient) pairs of
     the nonzero coefficients as Python numbers, and `is_real`, whether
-    every imaginary part is zero.  None of them is a field, so equality,
-    hashing and repr see the three fields alone.
+    every imaginary part is zero.  The symbol expansion and the audit are
+    derived on their first read and stored the same way, once per object.
+    None of them is a field, so equality, hashing and repr see the three
+    fields alone.
     """
 
     min_offset: int
@@ -130,6 +133,16 @@ class Stencil:
             return abs(self._sum - 1.0) <= CONSERVATION_TOL
         except OverflowError:   # |sum - 1| exceeds the largest float
             raise ValueError("stencil coefficient sum overflows") from None
+
+    @functools.cached_property
+    def _expansion(self) -> SymbolExpansion:
+        """_expand(self), which every reader of the expansion shares."""
+        return _expand(self)
+
+    @functools.cached_property
+    def _audit(self) -> AssumptionAudit:
+        """_run_audit(self), which every reader of the audit shares."""
+        return _run_audit(self)
 
 
 def lax_wendroff(lam: float) -> Stencil:
@@ -245,8 +258,9 @@ def _power_sums(stencil: Stencil, center: float, count: int) -> list:
             for k in range(count)]
 
 
-def _expansion(stencil: Stencil) -> SymbolExpansion:
-    """Cumulant expansion of log F_a through order five.
+def _expand(stencil: Stencil) -> SymbolExpansion:
+    """Cumulant expansion of log F_a through order five, which the stencil
+    stores as _expansion on the first read.
 
     A non-conservative stencil is expanded as F_a / F_a(0), so its report
     stays informative, unless its sum is below the smallest normal float64,
@@ -292,7 +306,7 @@ def expansion_coefficients(stencil: Stencil) -> SymbolExpansion:
     if not stencil.is_conservative():
         raise ValueError(f"stencil is not conservative: "
                          f"sum a_l = {stencil.coefficient_sum():.17g}")
-    return _expansion(stencil)
+    return stencil._expansion
 
 
 @dataclass(frozen=True)
@@ -313,9 +327,17 @@ def assumption_audit(stencil: Stencil) -> AssumptionAudit:
     sampled grid, has vanishing second cumulant, and has c3 != 0 and c4 > 0
     beyond rounding floors.  Non-conservative stencils are audited against
     the normalized symbol F_a / F_a(0) so the report stays informative.
+    The checks run once per stencil object; later calls return their
+    verdict.
     """
+    return stencil._audit
+
+
+def _run_audit(stencil: Stencil) -> AssumptionAudit:
+    """The checks of assumption_audit, whose verdict the stencil stores as
+    _audit on the first read."""
     sums_to_one = stencil.is_conservative()
-    expansion = _expansion(stencil)
+    expansion = stencil._expansion
     dissipative, min_margin = dissipation_check(stencil)
     admissible = (sums_to_one and dissipative
                   and expansion.kappa2 <= KAPPA2_TOL

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgreen import cli, green
+from dgreen import stencil as stencil_module
 from dgreen.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
@@ -741,7 +742,7 @@ class TestEvolve:
 
     def test_budget_checked_before_step_data(self, tmp_path, monkeypatch,
                                              capsys):
-        # 2e5 cells of step data: about 43 MB with evolve's arrays and CSV.
+        # 2e5 cells of step data: about 42 MB with evolve's arrays and CSV.
         monkeypatch.setenv("DG_MEMORY_BUDGET_MB", "1")
         out = tmp_path / "ev.csv"
         with mock.patch.object(cli, "sample_step", side_effect=AssertionError):
@@ -749,7 +750,7 @@ class TestEvolve:
                        "--t", "1e-5", "--half-width", "1",
                        "--out", str(out)) == EXIT_MEMORY
         assert capsys.readouterr().err == (
-            "error: the computation needs about 43.3 MB, budget is 1 MB\n")
+            "error: the computation needs about 41.9 MB, budget is 1 MB\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args", [
@@ -1083,6 +1084,167 @@ class TestDefaults:
         assert run(command, "--lambda", "0.75") == EXIT_CONFIG
         assert seen == [n_values]
         capsys.readouterr()
+
+
+
+# The help texts and parse errors of the CLI, taken with COLUMNS=80 while
+# build_parser still gave every command its options on every call.
+_TOP_USAGE = "usage: dgreen [-h] {coeffs,green,evolve,growth,bounds,bv} ...\n"
+_TOP_HELP = _TOP_USAGE + """
+Green's functions of explicit one-step schemes: exact tables, approximations,
+envelope and growth checks.
+
+positional arguments:
+  {coeffs,green,evolve,growth,bounds,bv}
+    coeffs              stencil and symbol expansion data
+    green               table of G^n with approximations
+    evolve              propagate step data to time t
+    growth              l1 growth law report
+    bounds              envelope constant report
+    bv                  cumulative sum / BV bound report
+
+options:
+  -h, --help            show this help message and exit
+"""
+_COMMON_OPTIONS = """
+options:
+  -h, --help            show this help message and exit
+  --scheme {lw,bw,custom}
+  --lambda LAM          Courant number of the named scheme
+  --custom CUSTOM_COEFFICIENTS
+                        coefficients as offset:re:im triplets, comma separated
+  --out OUTPUT_PATH     output path (default stdout)
+"""
+_FLAGS = """\
+  --strict              exit 5 when the acceptance predicate fails
+  --require-admissible  exit 3 when the scheme fails the audit
+"""
+_N_LIST_HELP = "  --n-list N_LIST       comma separated step counts\n"
+_COMMAND_HELP = {
+    "coeffs": """\
+usage: dgreen coeffs [-h] [--scheme {lw,bw,custom}] [--lambda LAM]
+                     [--custom CUSTOM_COEFFICIENTS] [--out OUTPUT_PATH]
+                     [--format {text,json}] [--strict] [--require-admissible]
+""" + _COMMON_OPTIONS + "  --format {text,json}\n" + _FLAGS,
+    "green": """\
+usage: dgreen green [-h] [--scheme {lw,bw,custom}] [--lambda LAM]
+                    [--custom CUSTOM_COEFFICIENTS] [--out OUTPUT_PATH]
+                    [--format {csv,json}] [--strict] [--require-admissible]
+                    [--n N] [--method {direct,spectral}]
+""" + _COMMON_OPTIONS + "  --format {csv,json}\n" + _FLAGS + """\
+  --n N                 number of steps
+  --method {direct,spectral}
+""",
+    "evolve": """\
+usage: dgreen evolve [-h] [--scheme {lw,bw,custom}] [--lambda LAM]
+                     [--custom CUSTOM_COEFFICIENTS] [--out OUTPUT_PATH]
+                     [--format {csv}] [--strict] [--require-admissible]
+                     [--dx DX] [--t T_FINAL] [--half-width HALF_WIDTH]
+""" + _COMMON_OPTIONS + "  --format {csv}\n" + _FLAGS + """\
+  --dx DX               cell size
+  --t T_FINAL           final time at unit velocity
+  --half-width HALF_WIDTH
+                        step data is the indicator of [-w, w]
+""",
+    "growth": """\
+usage: dgreen growth [-h] [--scheme {lw,bw,custom}] [--lambda LAM]
+                     [--custom CUSTOM_COEFFICIENTS] [--out OUTPUT_PATH]
+                     [--format {json}] [--strict] [--require-admissible]
+                     [--n-list N_LIST] [--growth-tol GROWTH_TOL]
+""" + _COMMON_OPTIONS + "  --format {json}\n" + _FLAGS + _N_LIST_HELP + """\
+  --growth-tol GROWTH_TOL
+                        final relative error tolerance
+""",
+    "bounds": """\
+usage: dgreen bounds [-h] [--scheme {lw,bw,custom}] [--lambda LAM]
+                     [--custom CUSTOM_COEFFICIENTS] [--out OUTPUT_PATH]
+                     [--format {json}] [--strict] [--require-admissible]
+                     [--n-list N_LIST]
+""" + _COMMON_OPTIONS + "  --format {json}\n" + _FLAGS + _N_LIST_HELP,
+    "bv": """\
+usage: dgreen bv [-h] [--scheme {lw,bw,custom}] [--lambda LAM]
+                 [--custom CUSTOM_COEFFICIENTS] [--out OUTPUT_PATH]
+                 [--format {json}] [--strict] [--require-admissible]
+                 [--n-list N_LIST]
+""" + _COMMON_OPTIONS + "  --format {json}\n" + _FLAGS + _N_LIST_HELP,
+}
+
+
+class TestParser:
+    """build_parser gives options only to the command that argv names; what
+    a user sees of the parser stays as it was."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (("--help",), _TOP_HELP),
+        *(((command, "--help"), text)
+          for command, text in _COMMAND_HELP.items())])
+    def test_help(self, monkeypatch, capsys, argv, text):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(*argv) == EXIT_OK
+        assert capsys.readouterr() == (text, "")
+
+    @pytest.mark.parametrize("argv, err", [
+        (("frobnicate",), _TOP_USAGE + "dgreen: error: argument command: "
+         "invalid choice: 'frobnicate' (choose from 'coeffs', 'green', "
+         "'evolve', 'growth', 'bounds', 'bv')\n"),
+        ((), _TOP_USAGE + "dgreen: error: the following arguments are "
+         "required: command\n"),
+        # --n abbreviates bv's own --n-list.
+        (("bv", "--n", "5"), "error: --scheme lw requires --lambda\n"),
+        (("bv", "--lambda", "0.75", "--method", "direct"), _TOP_USAGE
+         + "dgreen: error: unrecognized arguments: --method direct\n"),
+        (("green", "--lambda", "0.75", "--n-list", "5"), _TOP_USAGE
+         + "dgreen: error: unrecognized arguments: --n-list 5\n"),
+    ])
+    def test_parse_errors(self, monkeypatch, capsys, argv, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(*argv) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_options_of_the_named_command_alone(self, command):
+        subparsers = build_parser([command])._subparsers._group_actions[0]
+        for name, parser in subparsers.choices.items():
+            flags = [a.dest for a in parser._actions]
+            assert (flags == ["help"]) == (name != command)
+        argv = [command, "--lambda", "0.5", "--strict"]
+        assert (build_parser(argv).parse_args(argv)
+                == build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ("bv", "--n-list", "100,200"),
+    ("bounds", "--n-list", "250,500"),
+    ("growth", "--n-list", "100,400"),
+])
+def test_audit_and_expansion_once_per_call(monkeypatch, tmp_path, argv):
+    """One CLI call audits its stencil once and expands its symbol once,
+    however many layers read them."""
+    calls = {"dissipation_check": 0, "_expand": 0}
+    for name in calls:
+        original = getattr(stencil_module, name)
+
+        def spy(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(stencil_module, name, spy)
+    assert run(*argv, "--lambda", "0.75",
+               "--out", str(tmp_path / "report.json")) == EXIT_OK
+    assert calls == {"dissipation_check": 1, "_expand": 1}
+
+
+def test_equal_stencils_derive_their_own():
+    """The audit is stored on the stencil object, not shared between equal
+    stencils, and equality, hashing and repr see the fields alone."""
+    first, second = lax_wendroff(0.75), lax_wendroff(0.75)
+    audit = assumption_audit(first)
+    assert assumption_audit(first) is audit
+    assert "_audit" not in vars(second)
+    assert assumption_audit(second) is not audit
+    assert assumption_audit(second) == audit
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second) and "_audit" not in repr(first)
 
 
 def test_public_names():
