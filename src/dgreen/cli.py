@@ -471,13 +471,13 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     parsed.
     """
     parser = argparse.ArgumentParser(
-        prog="dgreen",
+        prog="dgreen", allow_abbrev=False,
         description="Green's functions of explicit one-step schemes: exact "
                     "tables, approximations, envelope and growth checks.")
     subs = parser.add_subparsers(dest="command", required=True)
     named = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, command in _COMMANDS.items():
-        p = subs.add_parser(name, help=command.help,
+        p = subs.add_parser(name, help=command.help, allow_abbrev=False,
                             argument_default=argparse.SUPPRESS)
         if named not in (None, name):
             continue

@@ -84,8 +84,12 @@ _TINY = float(np.finfo(float).tiny)   # the smallest normal float64
 # -_EXP_REACH is +0, and so is every Gaussian factor past that exponent.
 _EXP_REACH = 746.0
 
-# Consecutive n that spectral_sweep powers and transforms as one batch.
+# spectral_sweep powers blocks of _SWEEP_BLOCK consecutive n, each the
+# table of F^1..F^8 times the last power of the block before, and inverts,
+# reduces and checks two chained blocks as one batch.  A longer block
+# changes the bits of the chain; a longer batch does not.
 _SWEEP_BLOCK = 8
+_SWEEP_BATCH = 16
 
 
 class MemoryBudgetError(RuntimeError):
@@ -861,19 +865,25 @@ def _sweep_bytes(stencil: Stencil, size: int, n_max: int) -> int:
 
     The outputs take per n the sums at the stencil's itemsize, three
     float64 norms and a finiteness mask; a pure shift holds them alone.
-    Per row of a block there are three complex128 arrays of the samples
-    (the power table and the powered rows of this block and the last),
-    and the coefficients of this block and the last at the stencil's
-    itemsize with one float64 array of magnitudes, each of `size`.  Plus
-    eight complex128 arrays of the samples for the symbol and its
-    temporaries.
+    A windowed sweep adds per n an int64 drift.  Per row of a block there
+    is one complex128 array of the samples (the power table).  Per row of
+    a batch there is one (the powered samples) and one float64 array of
+    the samples for the transients: the magnitudes of the samples for the
+    rounding floor, the guard band's indices and entries, or numpy's
+    buffer for the broadcast product of a block.  Per row of a batch there
+    are also, of `size` entries, the coefficients at the stencil's
+    itemsize and, for complex stencils only, one float64 array of their
+    magnitudes.  Plus eight complex128 arrays of the samples for the
+    symbol and its temporaries.
     """
     outputs = (_itemsize(stencil) + 25) * n_max
     if stencil.support_width == 0:
         return outputs
     samples = size // 2 + 1 if stencil.is_real else size
-    per_row = 48 * samples + (2 * _itemsize(stencil) + 8) * size
-    return min(_SWEEP_BLOCK, n_max) * per_row + 128 * samples + outputs
+    coeffs = _itemsize(stencil) + (0 if stencil.is_real else 8)
+    return (16 * samples * min(_SWEEP_BLOCK, n_max)
+            + (24 * samples + coeffs * size) * min(_SWEEP_BATCH, n_max)
+            + 128 * samples + outputs + 8 * n_max)
 
 
 def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float):
@@ -881,6 +891,7 @@ def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float):
     half = stencil.is_real
     samples = size // 2 + 1 if half else size
     block = min(_SWEEP_BLOCK, n_max)
+    rows = min(_SWEEP_BATCH, n_max)
     _check_budget(_sweep_bytes(stencil, size, n_max))
     # Samples F(-2 pi k / size), so the inverse transform puts G_j at j.
     symbol = symbol_eval(stencil, (-2.0 * math.pi / size) * np.arange(samples))
@@ -890,32 +901,47 @@ def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float):
     # Supports of n * width + 1 sites up to `size` cannot alias.  Past that,
     # coefficient s_n + m mod size holds the mass m sites from the drift
     # s_n, and the guard band around m = size/2 must be at the rounding floor.
-    checked = (size - 1) // stencil.support_width + 1
+    base = (size - 1) // stencil.support_width   # G^1..G^base cannot alias
+    shifts = np.fromiter((_drift(alpha, n)[0]
+                          for n in range(base + 1, n_max + 1)),
+                         dtype=np.int64, count=max(n_max - base, 0))
     band = np.arange(size // 2 - size // _GUARD, size // 2 + size // _GUARD)
+    batch = np.empty((rows, samples), dtype=complex)
+    coeffs = np.empty((rows, size), dtype=sums.dtype)
+    mags = coeffs if half else np.empty((rows, size))
     last = np.ones(samples, dtype=complex)
     with np.errstate(all="ignore"):
-        for lo in range(0, n_max, block):
-            rows = table[:min(block, n_max - lo)] * last
-            last = rows[-1]
-            hi = lo + len(rows)                 # rows hold G^(lo+1)..G^hi
-            coeffs = (np.fft.irfft(rows, size, axis=1) if half
-                      else np.fft.ifft(rows, axis=1))
-            mags = np.abs(coeffs)
-            sums[lo:hi] = coeffs.sum(axis=1)
-            l1[lo:hi] = mags.sum(axis=1)
-            l2[lo:hi] = np.sqrt(np.einsum("ij,ij->i", mags, mags))
-            linf[lo:hi] = mags.max(axis=1)
-            steps = range(max(lo + 1, checked), hi + 1)
-            if not steps:
+        for lo in range(0, n_max, rows):
+            # The batch holds G^(lo+1)..G^hi in chained blocks: each row
+            # is the table times the last power of the block before.
+            count = min(rows, n_max - lo)
+            hi = lo + count
+            for start in range(0, count, block):
+                stop = min(start + block, count)
+                np.multiply(table[:stop - start], last, out=batch[start:stop])
+                last = batch[stop - 1]
+            values = coeffs[:count]
+            if half:
+                np.fft.irfft(batch[:count], size, axis=1, out=values)
+            else:
+                np.fft.ifft(batch[:count], axis=1, out=values)
+            sums[lo:hi] = values.sum(axis=1)
+            values = np.abs(values, out=mags[:count])
+            l1[lo:hi] = values.sum(axis=1)
+            l2[lo:hi] = np.sqrt(np.einsum("ij,ij->i", values, values))
+            linf[lo:hi] = values.max(axis=1)
+            first = max(lo, base)               # G^(first+1)..G^hi alias
+            if first >= hi:
                 continue
-            tail = slice(len(rows) - len(steps), None)
-            shifts = np.array([_drift(alpha, n)[0] for n in steps])
-            edges = np.take_along_axis(
-                mags[tail], (shifts[:, None] + band) % size, axis=1)
+            columns = shifts[first - base:hi - base, None] + band
+            columns %= size
+            edges = values[np.arange(first - lo, count)[:, None],
+                           columns].max(axis=1)
+            del columns     # one transient at a time, as _sweep_bytes counts
             # Incremental powers carry about n * eps relative error each.
-            floor = (_EPS * (np.asarray(steps) + math.log2(size))
-                     * _grid_sum(np.abs(rows[tail]), half) / size)
-            if np.any(edges.max(axis=1) > floor):
+            floor = (_EPS * (np.arange(first + 1, hi + 1) + math.log2(size))
+                     * _grid_sum(np.abs(batch[first - lo:count]), half) / size)
+            if np.any(edges > floor):
                 return None
     return sums, l1, l2, linf
 
@@ -928,13 +954,14 @@ def spectral_sweep(stencil: Stencil, n_max: int):
     the window that holds the mass of G^n_max, which also holds that of
     every smaller n, or the alias-free length for complex, non-conservative
     and degenerate stencils; either is 16 * 2^a * 3^b * 5^c, and so is
-    every doubling of it.  F^1..F^b are sampled once (M/2 + 1 samples
-    for real stencils); each block of b consecutive n is that table times
-    the last power of the previous block, inverted by one batched
-    transform, and the norms are row reductions over all M coefficients.
-    Every n whose support exceeds M must show its guard band at the
-    rounding floor, else M doubles and the sweep reruns.  The memory budget
-    is checked before every run against _sweep_bytes.
+    every doubling of it.  F^1..F^8 are sampled once (M/2 + 1 samples
+    for real stencils); each block of eight consecutive n is that table
+    times the last power of the previous block.  Two chained blocks at a
+    time are inverted by one batched transform, their norms are row
+    reductions over all M coefficients, and their guard bands are checked
+    together: every n whose support exceeds M must show its guard band at
+    the rounding floor, else M doubles and the sweep reruns.  The memory
+    budget is checked before every run against _sweep_bytes.
     """
     n_max = _step_count(n_max)
     if stencil.support_width == 0:

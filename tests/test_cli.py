@@ -1189,12 +1189,16 @@ class TestParser:
          "'evolve', 'growth', 'bounds', 'bv')\n"),
         ((), _TOP_USAGE + "dgreen: error: the following arguments are "
          "required: command\n"),
-        # --n abbreviates bv's own --n-list.
-        (("bv", "--n", "5"), "error: --scheme lw requires --lambda\n"),
+        # No option is taken as an abbreviation of a longer one: bv has
+        # --n-list, not --n.
+        (("bv", "--n", "5"), _TOP_USAGE
+         + "dgreen: error: unrecognized arguments: --n 5\n"),
         (("bv", "--lambda", "0.75", "--method", "direct"), _TOP_USAGE
          + "dgreen: error: unrecognized arguments: --method direct\n"),
         (("green", "--lambda", "0.75", "--n-list", "5"), _TOP_USAGE
          + "dgreen: error: unrecognized arguments: --n-list 5\n"),
+        (("bv", "--lambda", "0.75", "--n", "5"), _TOP_USAGE
+         + "dgreen: error: unrecognized arguments: --n 5\n"),
     ])
     def test_parse_errors(self, monkeypatch, capsys, argv, err):
         monkeypatch.setenv("COLUMNS", "80")
