@@ -866,28 +866,95 @@ def _sweep_bytes(stencil: Stencil, size: int, n_max: int) -> int:
     The outputs take per n the sums at the stencil's itemsize, three
     float64 norms and a finiteness mask; a pure shift holds them alone.
     A windowed sweep adds per n an int64 drift.  Per row of a block there
-    is one complex128 array of the samples (the power table).  Per row of
-    a batch there is one (the powered samples) and one float64 array of
-    the samples for the transients: the magnitudes of the samples for the
-    rounding floor, the guard band's indices and entries, or numpy's
-    buffer for the broadcast product of a block.  Per row of a batch there
-    are also, of `size` entries, the coefficients at the stencil's
-    itemsize and, for complex stencils only, one float64 array of their
-    magnitudes.  Plus eight complex128 arrays of the samples for the
-    symbol and its temporaries.
+    is one complex128 array of the samples (the power table) and one
+    float64 array of them (its weighted magnitudes).  Per row of a batch
+    there is one complex128 array of the samples (the powered samples)
+    and one float64 array of the samples for the transients: the
+    magnitudes of the samples for the rounding floor, the guard band's
+    indices and entries, or numpy's buffer for the broadcast product of a
+    block.  Per row of a batch there are also, of `size` entries, the
+    coefficients at the stencil's itemsize and, for complex stencils
+    only, one float64 array of their magnitudes.  Plus eight complex128
+    arrays of the samples for the symbol and its temporaries.
     """
     outputs = (_itemsize(stencil) + 25) * n_max
     if stencil.support_width == 0:
         return outputs
     samples = size // 2 + 1 if stencil.is_real else size
     coeffs = _itemsize(stencil) + (0 if stencil.is_real else 8)
-    return (16 * samples * min(_SWEEP_BLOCK, n_max)
+    return (24 * samples * min(_SWEEP_BLOCK, n_max)
             + (24 * samples + coeffs * size) * min(_SWEEP_BATCH, n_max)
             + 128 * samples + outputs + 8 * n_max)
 
 
+def _guards_at_floor(values, shifts, n_first: int, powered,
+                     half: bool) -> bool:
+    """True if every row's guard band lies at its rounding floor.
+
+    Row i of `values` holds |G^n| on the size = values.shape[1]
+    coefficients, n = n_first + i, with drift shifts[i] and samples
+    powered[i].  Its guard band, the size/8 coefficients on each side of
+    the cyclic index s_n + size/2, must be at most eps (n + log2 size)
+    times the grid mean of |F^n|: incremental powers carry about n * eps
+    relative error each.
+    """
+    size = values.shape[1]
+    band = np.arange(size // 2 - size // _GUARD, size // 2 + size // _GUARD)
+    columns = shifts[:, None] + band
+    columns %= size
+    edges = values[np.arange(len(values))[:, None], columns].max(axis=1)
+    del columns     # one transient at a time, as _sweep_bytes counts
+    floor = (_EPS * (np.arange(n_first, n_first + len(values))
+                     + math.log2(size))
+             * _grid_sum(np.abs(powered), half) / size)
+    return not np.any(edges > floor)
+
+
+def _guards_clear(values, shifts, n_first: int, estimate) -> bool:
+    """True if one bounded test shows that _guards_at_floor holds for the
+    same rows; False leaves the decision to it.
+
+    `estimate` holds each row's weighted |F^1..F^8| times |last|, the
+    magnitudes of the factor its block was multiplied by.  The test takes
+    `upper`, the largest entry in the cyclic columns [min s + size/2 -
+    size/8, max s + size/2 + size/8), which hold every row's guard band,
+    and `low`, the least estimate, and clears the rows when upper <=
+    eps (n_first + log2 size) (low / 2) / size.
+
+    Why that suffices: |fl(a b)| >= (1 - 4 eps) |a| |b| for the complex
+    products of a block, and a sum of non-negative terms is off by at most
+    samples * eps of itself, so each estimate is within about 1e-12
+    relative of its row's computed grid sum of |F^n|, and low / 2 lies
+    below every row's.  n_first is each row's least n and rounding is
+    monotone, so the bound is at most every row's floor, while each row's
+    band maximum is at most upper.  The factor 1/2 is that margin, not a
+    setting.  Where low is so small that products lose their relative
+    accuracy to underflow, the bound rounds to +0 and clears only an
+    all-zero range.  A NaN in the range or in the estimates, or an
+    infinite bound, never clears.
+    """
+    size = values.shape[1]
+    guard = size // _GUARD
+    low_shift, high_shift = sorted((shifts[0], shifts[-1]))
+    start = (low_shift + size // 2 - guard) % size
+    span = high_shift - low_shift + 2 * guard
+    if span >= size:
+        parts = [values]
+    else:
+        parts = [values[:, start:start + span]]
+        if start + span > size:
+            parts.append(values[:, :start + span - size])
+    bound = (_EPS * (n_first + math.log2(size)) * (0.5 * estimate.min())
+             / size)
+    return bound < math.inf and all(part.max() <= bound for part in parts)
+
+
 def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float):
-    """Norms of G^1..G^n_max on `size` points; None if a guard band fails."""
+    """Norms of G^1..G^n_max on `size` points; None if a guard band fails.
+
+    Each batch with aliasing rows is cleared by _guards_clear, or else by
+    _guards_at_floor, which alone decides a doubling.
+    """
     half = stencil.is_real
     samples = size // 2 + 1 if half else size
     block = min(_SWEEP_BLOCK, n_max)
@@ -896,6 +963,12 @@ def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float):
     # Samples F(-2 pi k / size), so the inverse transform puts G_j at j.
     symbol = symbol_eval(stencil, (-2.0 * math.pi / size) * np.arange(samples))
     table = np.cumprod(np.broadcast_to(symbol, (block, samples)), axis=0)
+    # |F^1..F^8| at _grid_sum's weights: weighted @ |last| is each row's
+    # grid sum of |F^n| up to rounding.
+    weighted = np.abs(table)
+    if half:
+        weighted[:, 1:-1] *= 2.0
+    estimate = np.empty(rows)
     sums = np.empty(n_max, dtype=float if half else complex)
     l1, l2, linf = np.empty((3, n_max))
     # Supports of n * width + 1 sites up to `size` cannot alias.  Past that,
@@ -905,7 +978,6 @@ def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float):
     shifts = np.fromiter((_drift(alpha, n)[0]
                           for n in range(base + 1, n_max + 1)),
                          dtype=np.int64, count=max(n_max - base, 0))
-    band = np.arange(size // 2 - size // _GUARD, size // 2 + size // _GUARD)
     batch = np.empty((rows, samples), dtype=complex)
     coeffs = np.empty((rows, size), dtype=sums.dtype)
     mags = coeffs if half else np.empty((rows, size))
@@ -919,6 +991,7 @@ def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float):
             for start in range(0, count, block):
                 stop = min(start + block, count)
                 np.multiply(table[:stop - start], last, out=batch[start:stop])
+                estimate[start:stop] = weighted[:stop - start] @ np.abs(last)
                 last = batch[stop - 1]
             values = coeffs[:count]
             if half:
@@ -933,15 +1006,12 @@ def _sweep_norms(stencil: Stencil, n_max: int, size: int, alpha: float):
             first = max(lo, base)               # G^(first+1)..G^hi alias
             if first >= hi:
                 continue
-            columns = shifts[first - base:hi - base, None] + band
-            columns %= size
-            edges = values[np.arange(first - lo, count)[:, None],
-                           columns].max(axis=1)
-            del columns     # one transient at a time, as _sweep_bytes counts
-            # Incremental powers carry about n * eps relative error each.
-            floor = (_EPS * (np.arange(first + 1, hi + 1) + math.log2(size))
-                     * _grid_sum(np.abs(batch[first - lo:count]), half) / size)
-            if np.any(edges > floor):
+            aliasing = slice(first - lo, count)
+            drifts = shifts[first - base:hi - base]
+            if not (_guards_clear(values[aliasing], drifts, first + 1,
+                                  estimate[aliasing])
+                    or _guards_at_floor(values[aliasing], drifts, first + 1,
+                                        batch[aliasing], half)):
                 return None
     return sums, l1, l2, linf
 
@@ -957,11 +1027,13 @@ def spectral_sweep(stencil: Stencil, n_max: int):
     every doubling of it.  F^1..F^8 are sampled once (M/2 + 1 samples
     for real stencils); each block of eight consecutive n is that table
     times the last power of the previous block.  Two chained blocks at a
-    time are inverted by one batched transform, their norms are row
-    reductions over all M coefficients, and their guard bands are checked
-    together: every n whose support exceeds M must show its guard band at
-    the rounding floor, else M doubles and the sweep reruns.  The memory
-    budget is checked before every run against _sweep_bytes.
+    time are inverted by one batched transform, and their norms are row
+    reductions over all M coefficients.  Every n whose support exceeds M
+    must show its guard band at the rounding floor, else M doubles and
+    the sweep reruns: one bounded test (_guards_clear) clears a batch's
+    bands at once, and where it does not, the per-row check
+    (_guards_at_floor) decides.  The memory budget is checked before
+    every run against _sweep_bytes.
     """
     n_max = _step_count(n_max)
     if stencil.support_width == 0:

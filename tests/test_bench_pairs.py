@@ -89,3 +89,63 @@ def test_pairs_alternate_and_exit_code(tool, monkeypatch, capsys):
         [[results[k, seed] for k in "ab"] for seed in (1, 2, 3)])
     results["b", 2] = None
     assert tool.main(["a", "b", "--workload", "sweep", "--pairs", "3"]) == 1
+
+
+def export_stdout(passes, csv_s, rss):
+    """A run's whole output, its table as benchmark/run.py prints it."""
+    return f"""\
+dgreen benchmark workload=export seed=1 trace=0 passes={passes} attempted=8 \
+failed=0
+schemes: lw(0.6523) bw(1.395)
+largest transform: 2097152 complex128 = 33.6 MB, last-level cache 307200K
+  setup_s                    median=0.173197     -                  \
+max=0.185295     n=11   s
+  wall_ref_s                 median=0.540704     -                  \
+max=0.594729     n=2    s
+  green_csv_s                median={csv_s:<12} -                  \
+max=0.207017     n=4    s
+  probe_s                    median=0.0672893    p96=0.094405       \
+max=0.0770705    n=8    s
+  peak_rss_mb                median={rss:<12} -                  \
+max=138.953      n=1    MB
+  failed_ratio               median=0            -                  \
+max=0            n=1    1
+{result_line(0.540704, rss)}
+"""
+
+
+def test_parse_table(tool):
+    text = export_stdout(2, 0.160491, 138.953)
+    assert tool.parse_table(text, skip=("wall_ref_s", "peak_rss_mb")) == {
+        "setup_s": {"value": 0.173197, "unit": "s"},
+        "green_csv_s": {"value": 0.160491, "unit": "s"},
+        "probe_s": {"value": 0.0672893, "unit": "s"},
+        "failed_ratio": {"value": 0.0, "unit": "1"},
+        "passes": {"value": 2, "unit": ""},
+    }
+    assert tool.parse_table(stdout(result_line(0.3, 44.0))) == {}
+
+
+def test_summary_with_table(tool, monkeypatch):
+    # Three pairs: the change writes CSV faster in two and runs one pass
+    # more in each, with more memory.
+    sides = [((2, 0.16, 138.9), (3, 0.15, 139.2)),
+             ((2, 0.17, 138.8), (3, 0.14, 139.0)),
+             ((3, 0.15, 139.1), (4, 0.16, 139.3))]
+    pairs = []
+    for pair in sides:
+        pairs.append([])
+        for side in pair:
+            monkeypatch.setattr(subprocess, "run", lambda *a, **k: (
+                subprocess.CompletedProcess(a, 0, export_stdout(*side))))
+            pairs[-1].append(tool.run(".", "export", 1, 1.0))
+    assert [line.split() for line in tool.summarize(pairs)[1:]] == [
+        ["wall_ref_s", "0.5407", "(0)", "s", "0.5407", "(0)", "s", "0/3"],
+        ["peak_rss_mb", "138.9", "(0.15)", "MB", "139.2", "(0.15)", "MB",
+         "0/3"],
+        ["setup_s", "0.1732", "(0)", "s", "0.1732", "(0)", "s", "0/3"],
+        ["green_csv_s", "0.16", "(0.01)", "s", "0.15", "(0.01)", "s", "2/3"],
+        ["probe_s", "0.06729", "(0)", "s", "0.06729", "(0)", "s", "0/3"],
+        ["failed_ratio", "0", "(0)", "1", "0", "(0)", "1", "0/3"],
+        ["passes", "2", "(0.5)", "3", "(0.5)", "0/3"],
+    ]

@@ -1314,7 +1314,7 @@ class TestWindowedSweep:
     def test_traced_peak_within_model(self, stencil):
         # The largest need checked, the planning transform's or the
         # sweep's, bounds the traced peak of the whole call.  Measured: at
-        # most 0.90 of it (LW5 at 2000).
+        # most 0.86 of it (LW5 at 2000).
         peak, need = traced(spectral_sweep, stencil, SWEEP_N)
         assert peak <= need
 
@@ -1429,6 +1429,135 @@ class TestSweepBits:
         result = spectral_sweep(lax_wendroff(0.75), SWEEP_N)
         assert len(runs) == 4
         assert sweep_digest(result) == SWEEP_DIGESTS["lw075"][1][SWEEP_N]
+
+
+class TestExactGuardCheckOnly(TestSweepBits):
+    """Every pin of TestSweepBits, with the bounded guard test never
+    clearing a batch, so the per-row check decides every one."""
+
+    @pytest.fixture(autouse=True)
+    def never_clear(self, monkeypatch):
+        monkeypatch.setattr(green, "_guards_clear", lambda *args: False)
+
+
+def checked_sweep(stencil, n_max, size, exact_only):
+    """spectral_sweep from `size` points, every batch's guard verdicts and
+    the (size, doubled) of every run.
+
+    Each verdict is [cleared, estimate, grid sums, passed]: the bounded
+    test's answer and row estimates, the rows' grid sums of |F^n| and the
+    per-row check's answer.  With exact_only the bounded test never
+    clears, so the per-row check runs on every batch; without it, that
+    check runs only where the bounded test does not clear.
+    """
+    clear, at_floor = green._guards_clear, green._guards_at_floor
+    norms = green._sweep_norms
+    verdicts, runs = [], []
+
+    def spy_clear(values, shifts, n_first, estimate):
+        cleared = clear(values, shifts, n_first, estimate)
+        verdicts.append([cleared, estimate.copy(), None, None])
+        return cleared and not exact_only
+
+    def spy_at_floor(values, shifts, n_first, powered, half):
+        passed = at_floor(values, shifts, n_first, powered, half)
+        verdicts[-1][2:] = green._grid_sum(np.abs(powered), half), passed
+        return passed
+
+    def spy_norms(*args):
+        result = norms(*args)
+        runs.append((args[2], result is None))
+        return result
+
+    with (mock.patch.object(green, "_spectral_window",
+                            lambda *a, **k: (None, size)),
+          mock.patch.object(green, "_guards_clear", spy_clear),
+          mock.patch.object(green, "_guards_at_floor", spy_at_floor),
+          mock.patch.object(green, "_sweep_norms", spy_norms)):
+        result = spectral_sweep(stencil, n_max)
+    return result, verdicts, runs
+
+
+class TestBoundedGuardTest:
+    # From an eighth, a quarter and half of the settled length, so that
+    # failing guard bands and doublings are among the batches checked.
+    @pytest.mark.parametrize("fraction", [8, 4, 2])
+    @pytest.mark.parametrize("n_max", [17, 100, SWEEP_N])
+    @pytest.mark.parametrize("stencil", SWEEP_CASES + [lax_wendroff(0.3)])
+    def test_cleared_batches_pass_exact_check(self, stencil, n_max,
+                                              fraction):
+        settled = _spectral_window(stencil, n_max)[1]
+        size = max(16, settled // fraction // 16 * 16)
+        exact, verdicts, exact_runs = checked_sweep(stencil, n_max, size,
+                                                    exact_only=True)
+        assert verdicts
+        for cleared, estimate, grid_sums, passed in verdicts:
+            assert passed or not cleared
+            # The estimate is each row's computed grid sum up to rounding.
+            assert_allclose(estimate, grid_sums, rtol=1e-12, atol=0)
+        # Letting the bounded test clear changes no bit and no doubling.
+        result, _, runs = checked_sweep(stencil, n_max, size,
+                                        exact_only=False)
+        assert sweep_digest(result) == sweep_digest(exact)
+        assert runs == exact_runs
+
+    @pytest.mark.parametrize("stencil", [lax_wendroff(0.75), LW5,
+                                         beam_warming(0.5)])
+    def test_settled_sweep_skips_exact_check(self, stencil):
+        # At the settled length the guard bands sit well below their
+        # floors (at most 0.2 of the bounded test's threshold measured),
+        # so the per-row check never runs.
+        size = _spectral_window(stencil, SWEEP_N)[1]
+        _, verdicts, runs = checked_sweep(stencil, SWEEP_N, size,
+                                          exact_only=False)
+        assert runs == [(size, False)]
+        assert verdicts and all(cleared and passed is None
+                                for cleared, _, _, passed in verdicts)
+
+    # With the per-row check on every batch, its transients join the
+    # weighted table.  Measured: at most 0.90 of the need (LW5 at 2000).
+    @pytest.mark.parametrize("n_max", [9, 17, 100, SWEEP_N])
+    @pytest.mark.parametrize("stencil", SWEEP_STENCILS)
+    def test_exact_check_traced_peak_within_model(self, monkeypatch, stencil,
+                                                  n_max):
+        monkeypatch.setattr(green, "_guards_clear", lambda *args: False)
+        peak, need = traced(spectral_sweep, stencil, n_max)
+        assert peak <= need
+
+    def test_non_finite_rows_never_clear(self):
+        values = np.zeros((2, 64))
+        shifts = np.array([3, 4])
+        estimate = np.ones(2)
+        assert green._guards_clear(values, shifts, 100, estimate)
+        for bad in (np.nan, np.inf):
+            values[1, 64 // 2 + 3] = bad
+            assert not green._guards_clear(values, shifts, 100, estimate)
+            values[1, 64 // 2 + 3] = 0.0
+            assert not green._guards_clear(values, shifts, 100,
+                                           np.full(2, bad))
+        assert not green._guards_clear(values, shifts, 100,
+                                       np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("shifts,columns", [
+        ((0, 0), [24, 40]),        # one slice
+        ((30, 32), [54, 72]),      # wraps past the last column
+        ((-40, -38), [-16, 2]),    # negative drifts
+        ((0, 48), [24, 88]),       # spans every column
+    ])
+    def test_upper_range_holds_every_guard_band(self, shifts, columns):
+        # An entry of twice the bound blocks clearing inside the
+        # cyclic range [min s + M/2 - M/8, max s + M/2 + M/8) and is
+        # ignored outside it.
+        size, n_first = 64, 10
+        estimate = np.ones(2)
+        bound = green._EPS * (n_first + 6.0) * 0.5 / size
+        inside = set(np.arange(*columns) % size)
+        for column in range(size):
+            values = np.zeros((2, size))
+            values[1, column] = 2.0 * bound
+            assert green._guards_clear(
+                values, np.array(shifts), n_first, estimate) == (
+                column not in inside)
 
 
 def smooth_lengths(limit):

@@ -6,14 +6,19 @@
 Pair k runs `python3 benchmark/run.py --workload W --seed k --seconds S
 --trace 0` once in each checkout, BASE first on odd k and CHANGE first on
 even k, so that a drift in the machine's speed falls on both sides alike.
-The last line a run prints is its JSON result.  For every metric in the
-results the tool prints each side's median (IQR) and the pairs that CHANGE
-won; every end-to-end metric is better lower.  It exits 1 if any run
+The last line a run prints is its JSON result; the lines above it hold the
+run's table of per-command medians (sweep_s, green_csv_s, ...) and a
+header with its count of passes over the workload.  For every end-to-end
+metric of the results, then every other metric of the table, then the
+pass count, the tool prints each side's median (IQR) and the pairs in
+which CHANGE read lower: every metric is better lower, and the pass count
+stands beside peak_rss_mb, which grows with it.  It exits 1 if any run
 exits nonzero, prints no result, or reads correct: false.
 """
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -30,6 +35,27 @@ def parse_result(stdout: str):
     return result if isinstance(result, dict) else None
 
 
+# A row of the run's table, "  sweep_s   median=0.024  p89=0.036  max=0.058
+# n=96   s": its name, median and unit; and the header's pass count.
+TABLE_ROW = re.compile(r"^  (\S+) +median=(\S+) .* (\S+)$")
+PASSES = re.compile(r"^dgreen benchmark .*\bpasses=(\d+)\b")
+
+
+def parse_table(stdout: str, skip=()):
+    """The medians of a run's table and its pass count, as metrics
+    {name: {"value": v, "unit": u}}, leaving out the names in `skip`; the
+    pass count comes last, as "passes"."""
+    table, passes = {}, None
+    for line in stdout.splitlines():
+        if (row := TABLE_ROW.match(line)) and row[1] not in skip:
+            table[row[1]] = {"value": float(row[2]), "unit": row[3]}
+        elif header := PASSES.match(line):
+            passes = {"value": int(header[1]), "unit": ""}
+    if passes:
+        table["passes"] = passes
+    return table
+
+
 def median_iqr(values):
     """The median and the interquartile range of `values`."""
     if len(values) < 2:
@@ -39,16 +65,17 @@ def median_iqr(values):
 
 
 def summarize(pairs):
-    """Lines comparing the (base, change) result pairs metric by metric."""
-    first = pairs[0][0]["metrics"]
+    """Lines comparing the (base, change) result pairs metric by metric:
+    the results' metrics, then those of their "table", if any."""
     lines = [f"{'metric':14} {'base median (IQR)':>24} "
              f"{'change median (IQR)':>24}  change won"]
-    for name in first:
-        unit = first[name]["unit"]
-        sides = [[pair[k]["metrics"][name]["value"] for pair in pairs]
+    for key, name in [(key, name) for key in ("metrics", "table")
+                      for name in pairs[0][0].get(key, {})]:
+        unit = pairs[0][0][key][name]["unit"]
+        sides = [[pair[k][key][name]["value"] for pair in pairs]
                  for k in (0, 1)]
         won = sum(change < base for base, change in zip(*sides))
-        cells = [f"{m:.4g} ({iqr:.2g}) {unit}"
+        cells = [f"{m:.4g} ({iqr:.2g}) {unit}".rstrip()
                  for m, iqr in map(median_iqr, sides)]
         lines.append(f"{name:14} {cells[0]:>24} {cells[1]:>24}  "
                      f"{won}/{len(pairs)}")
@@ -67,6 +94,7 @@ def run(checkout, workload, seed, seconds):
         print(f"FAILED {checkout} seed {seed}: exit {done.returncode}, "
               f"result {result}", file=sys.stderr)
         return None
+    result["table"] = parse_table(done.stdout, skip=result["metrics"])
     return result
 
 
